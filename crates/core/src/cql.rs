@@ -4,118 +4,55 @@
 //! requests (from library specs, inline IIF, or VHDL clusters), connection
 //! queries and component-list management.
 //!
-//! Execution is session-aware: [`Icdb::execute_in`] runs a command against
-//! an explicit namespace, and [`Icdb::execute_read_in`] runs the read-only
-//! command subset through `&self` so the concurrent
-//! [`crate::service::IcdbService`] can serve queries under a shared lock
-//! (it reports `Ok(false)` when a command needs exclusive access, e.g. an
-//! `instance_query` asking for a CIF layout that has not been generated
-//! yet).
+//! Which lock a command needs comes from its row in the request-verb
+//! table ([`icdb_cql::COMMANDS`]), escalated by its terms in [`route`].
+//! Each command has one handler: [`Icdb::dispatch_read`] answers the
+//! read-only rows through `&self` — so the concurrent
+//! [`crate::service::IcdbService`] can serve them from an epoch snapshot
+//! or under a shared lock — and `dispatch_in` runs the mutating rows plus
+//! the exclusive-only side effects of the read-only ones (layout
+//! generation, relational publishing, checkpoints) before handing over to
+//! the same read handler.
 
 use crate::error::IcdbError;
 use crate::space::NsId;
 use crate::spec::{ComponentRequest, Source, TargetLevel};
 use crate::Icdb;
-use icdb_cql::{bind_outputs, parse_command, Command, CqlArg, CqlValue, Response};
+use icdb_cql::{
+    bind_outputs, command_spec, parse_command, Command, CommandSpec, CqlArg, CqlValue, Response,
+    Tier,
+};
 
-/// Outcome of a shared-lock dispatch attempt.
-enum ReadDispatch {
-    /// The command was answered read-only.
-    Done(Response),
-    /// The command mutates (or needs cold generation) — retry with
-    /// [`Icdb::execute_in`] under exclusive access. Nothing was written to
-    /// the caller's arguments.
-    NeedsWrite,
-}
-
-/// The read-only CQL command subset the service may attempt under a
-/// shared lock — the single source of truth: `command_is_read_only`
-/// derives from it, and `dispatch_read_in` must route exactly these names
-/// to an executor (enforced by
-/// `tests::read_only_list_matches_read_dispatch`).
-const READ_ONLY_COMMANDS: &[&str] = &[
-    "component_query",
-    "function_query",
-    "instance_query",
-    "connect_component",
-    "merge_query",
-    "tool_query",
-    "cache_query",
-    "explore",
-    "corpus",
-    "persist",
-    "metrics",
-];
-
-/// Whether a raw CQL command string names a read-only command, without a
-/// full parse — used by [`crate::Session::execute`] to decide which lock
-/// to try first, and by the network client's retry policy to decide which
-/// commands are safe to re-send blindly after a dropped connection.
-pub fn command_text_is_read_only(command: &str) -> bool {
-    command.split(';').any(|term| {
-        term.split_once(':')
-            .is_some_and(|(k, v)| k.trim() == "command" && command_is_read_only(v.trim()))
-    })
-}
-
-/// Whether a raw CQL command string names the `persist` command — the one
-/// mutating dispatch that must stay reachable on a degraded server, since
-/// `persist checkpoint:1` / `persist clear_fault:1` is how writes re-arm.
-pub(crate) fn command_text_is_persist(command: &str) -> bool {
-    command.split(';').any(|term| {
-        term.split_once(':')
-            .is_some_and(|(k, v)| k.trim() == "command" && v.trim() == "persist")
-    })
-}
-
-/// Whether a CQL command name belongs to the read-only subset the service
-/// may attempt under a shared lock. (An `instance_query` for an
-/// ungenerated CIF layout still falls back to exclusive access at
-/// dispatch time.)
-fn command_is_read_only(name: &str) -> bool {
-    READ_ONLY_COMMANDS.contains(&name)
-}
-
-/// The CQL commands that touch only shared knowledge state — the
-/// component library, cell library, generation cache and tool registry —
-/// and therefore answer identically against a lock-free epoch snapshot
-/// ([`Icdb::read_snapshot`]) as against the live database. Deliberately
-/// excluded from the read-only subset above: `instance_query` and
-/// `connect_component` (live per-namespace instances) and `persist`
-/// (needs the journal, which snapshots do not carry).
-const KNOWLEDGE_ONLY_COMMANDS: &[&str] = &[
-    "component_query",
-    "function_query",
-    "merge_query",
-    "tool_query",
-    "cache_query",
-    "explore",
-    "corpus",
-];
-
-/// Whether a raw CQL command string can be answered entirely from an
-/// epoch snapshot of the knowledge base, without any service lock. An
-/// `explore` that asks to publish results mutates the relational catalog,
-/// so any `publish:` term (even `publish: 0`, conservatively) routes the
-/// command back to the locked paths.
-pub(crate) fn command_text_is_knowledge_only(command: &str) -> bool {
-    let mut named = false;
-    for term in command.split(';') {
-        let Some((k, v)) = term.split_once(':') else {
-            continue;
-        };
-        match k.trim() {
-            "command" => {
-                if !KNOWLEDGE_ONLY_COMMANDS.contains(&v.trim()) {
-                    return false;
-                }
-                named = true;
-            }
-            "publish" => return false,
-            _ => {}
+/// The row a parsed command runs under: its [`icdb_cql::COMMANDS`] row
+/// with the tier escalated by its terms. An `explore` with a `publish:`
+/// term leaves the epoch snapshot for the shared lock, and a non-zero one
+/// mutates the relational catalog, so it needs the exclusive section; so
+/// does a `persist` that checkpoints, clears a fault or promotes. An
+/// unknown verb gets an exclusive row, so it meets the commit gate before
+/// the dispatcher rejects it. (An `instance_query` for an ungenerated
+/// layout escalates later, when [`Icdb::dispatch_read`] finds the layout
+/// missing.)
+pub(crate) fn route(cmd: &Command) -> Result<CommandSpec, IcdbError> {
+    let Some(&spec) = command_spec(&cmd.name) else {
+        return Ok(CommandSpec {
+            name: "other",
+            tier: Tier::Exclusive,
+            rearms: false,
+        });
+    };
+    let tier = match spec.name {
+        "explore" if cmd.int_term("publish").unwrap_or(0) != 0 => Tier::Exclusive,
+        "explore" if cmd.has("publish") => Tier::Shared,
+        "persist"
+            if flag(cmd, "checkpoint", false)?
+                || flag(cmd, "clear_fault", false)?
+                || flag(cmd, "promote", false)? =>
+        {
+            Tier::Exclusive
         }
-    }
-    named
+        _ => spec.tier,
+    };
+    Ok(CommandSpec { tier, ..spec })
 }
 
 impl Icdb {
@@ -146,58 +83,20 @@ impl Icdb {
         Ok(())
     }
 
-    /// Attempts one CQL command through `&self` only (the shared-lock fast
-    /// path of the service). Returns `Ok(true)` when the command was fully
-    /// answered, `Ok(false)` when it requires exclusive access — in that
-    /// case the caller's arguments are untouched and the command should be
-    /// re-issued through [`Icdb::execute_in`].
-    ///
-    /// # Errors
-    /// As [`Icdb::execute`] for the read-only command subset.
-    pub fn execute_read_in(
-        &self,
-        ns: NsId,
-        command: &str,
-        args: &mut [CqlArg],
-    ) -> Result<bool, IcdbError> {
-        let (cmd, outs) = parse_command(command, args)?;
-        match self.dispatch_read_in(ns, &cmd)? {
-            ReadDispatch::Done(response) => {
-                bind_outputs(&response, &outs, args)?;
-                Ok(true)
-            }
-            ReadDispatch::NeedsWrite => Ok(false),
-        }
-    }
-
-    fn dispatch_in(&mut self, ns: NsId, cmd: &Command) -> Result<Response, IcdbError> {
+    /// Runs one parsed command with exclusive access: a mutating command's
+    /// handler, or a read-only command's exclusive-only side effects
+    /// followed by its shared handler.
+    pub(crate) fn dispatch_in(&mut self, ns: NsId, cmd: &Command) -> Result<Response, IcdbError> {
         match cmd.name.as_str() {
-            "component_query" => self.exec_component_query(cmd),
-            "function_query" => self.exec_function_query(cmd),
-            "request_component" => self.exec_request_component(ns, cmd),
-            "instance_query" => {
-                // Generate the layout up front if the query wants CIF, then
-                // answer through the shared read-only executor.
-                if cmd.pending_keys().contains(&"CIF_layout") {
-                    let name = instance_query_target(cmd)?;
-                    self.cif_layout_in(ns, &name)?;
-                }
-                match self.exec_instance_query(ns, cmd)? {
-                    ReadDispatch::Done(resp) => Ok(resp),
-                    ReadDispatch::NeedsWrite => Err(IcdbError::Unsupported(
-                        "instance_query still needs exclusive access after layout generation"
-                            .into(),
-                    )),
-                }
-            }
-            "connect_component" => self.exec_connect(ns, cmd),
+            "request_component" => return self.exec_request_component(ns, cmd),
+            "insert_component" => return self.exec_insert_component(cmd),
             "start_a_design" => {
                 self.start_design_in(ns, &design_of(cmd)?)?;
-                Ok(Response::new())
+                return Ok(Response::new());
             }
             "start_a_transaction" => {
                 self.start_transaction_in(ns, &design_of(cmd)?)?;
-                Ok(Response::new())
+                return Ok(Response::new());
             }
             "put_in_component_list" => {
                 let design = design_of(cmd)?;
@@ -206,92 +105,86 @@ impl Icdb {
                     .ok_or_else(|| IcdbError::Cql("missing instance:".into()))?
                     .to_string();
                 self.put_in_component_list_in(ns, &design, &inst)?;
-                Ok(Response::new())
+                return Ok(Response::new());
             }
             "end_a_transaction" => {
                 self.end_transaction_in(ns, &design_of(cmd)?)?;
-                Ok(Response::new())
+                return Ok(Response::new());
             }
             "end_a_design" => {
                 self.end_design_in(ns, &design_of(cmd)?)?;
-                Ok(Response::new())
-            }
-            "insert_component" => self.exec_insert_component(cmd),
-            "merge_query" => self.exec_merge_query(cmd),
-            "tool_query" => self.exec_tool_query(cmd),
-            "cache_query" => {
-                // The exclusive path also refreshes the relational
-                // `cache_stats` table; the shared-lock path only reads.
-                self.publish_cache_stats()?;
-                self.exec_cache_query(cmd)
+                return Ok(Response::new());
             }
             "explore" => {
-                // The exclusive path also mirrors the report into the
-                // relational `exploration` table and journals the sweep's
-                // fresh evaluations into the durable corpus; the
-                // shared-lock path only answers the query (its corpus
-                // recordings flush on the service's next exclusive pass).
+                // Also mirror the report into the relational `exploration`
+                // table and journal the sweep's fresh evaluations into the
+                // durable corpus (a lock-free sweep's recordings flush on
+                // the service's next exclusive pass instead).
                 let (report, resp) = self.exec_explore(ns, cmd)?;
                 self.publish_exploration(&report)?;
                 self.flush_corpus()?;
-                Ok(resp)
+                return Ok(resp);
             }
+            // Generate the layout up front if the query wants CIF.
+            "instance_query" if cmd.pending_keys().contains(&"CIF_layout") => {
+                let name = instance_query_target(cmd)?;
+                self.cif_layout_in(ns, &name)?;
+            }
+            // Also refresh the relational `cache_stats` table.
+            "cache_query" => {
+                self.publish_cache_stats()?;
+            }
+            // Fold pending sweep recordings in first, so the answered
+            // counts include the latest sweep.
             "corpus" => {
-                // The exclusive path folds any pending sweep recordings in
-                // first, so the answered counts include the latest sweep;
-                // the shared-lock path reads the durable store as-is.
                 self.flush_corpus()?;
-                self.exec_corpus(cmd)
             }
+            // `checkpoint:1` snapshots + rotates the WAL before reporting;
+            // `clear_fault:1` checkpoints only when a durability fault is
+            // latched — the explicit operator action re-arming a degraded
+            // server; `promote:1` turns a follower into a primary.
             "persist" => {
-                // `checkpoint:1` snapshots + rotates the WAL before
-                // reporting (that mutates the data directory, so the
-                // shared-lock path routes it here). `clear_fault:1`
-                // checkpoints only when a durability fault is latched —
-                // the explicit operator action re-arming a degraded
-                // server.
-                if persist_wants_promote(cmd)? {
+                if flag(cmd, "promote", false)? {
                     self.promote_journal()?;
-                } else if persist_wants_checkpoint(cmd)? {
+                } else if flag(cmd, "checkpoint", false)? {
                     self.checkpoint()?;
-                } else if persist_wants_clear_fault(cmd)? {
+                } else if flag(cmd, "clear_fault", false)? {
                     self.clear_journal_fault()?;
                 }
-                self.exec_persist(cmd)
             }
-            "metrics" => self.exec_metrics(cmd),
-            other => Err(IcdbError::Cql(format!("unknown command `{other}`"))),
+            _ => {}
         }
+        self.dispatch_read(ns, cmd)?.ok_or_else(|| {
+            IcdbError::Unsupported(
+                "instance_query still needs exclusive access after layout generation".into(),
+            )
+        })
     }
 
-    fn dispatch_read_in(&self, ns: NsId, cmd: &Command) -> Result<ReadDispatch, IcdbError> {
-        match cmd.name.as_str() {
-            "component_query" => self.exec_component_query(cmd).map(ReadDispatch::Done),
-            "function_query" => self.exec_function_query(cmd).map(ReadDispatch::Done),
-            "instance_query" => self.exec_instance_query(ns, cmd),
-            "connect_component" => self.exec_connect(ns, cmd).map(ReadDispatch::Done),
-            "merge_query" => self.exec_merge_query(cmd).map(ReadDispatch::Done),
-            "tool_query" => self.exec_tool_query(cmd).map(ReadDispatch::Done),
-            "cache_query" => self.exec_cache_query(cmd).map(ReadDispatch::Done),
-            // A truthy `publish:` asks for the relational `exploration`
-            // table to be refreshed, which mutates the store — route to
-            // the exclusive path (`publish:0` stays read-only).
-            "explore" if cmd.int_term("publish").unwrap_or(0) != 0 => Ok(ReadDispatch::NeedsWrite),
-            "explore" => self
-                .exec_explore(ns, cmd)
-                .map(|(_, resp)| ReadDispatch::Done(resp)),
-            "corpus" => self.exec_corpus(cmd).map(ReadDispatch::Done),
-            "persist"
-                if persist_wants_checkpoint(cmd)?
-                    || persist_wants_clear_fault(cmd)?
-                    || persist_wants_promote(cmd)? =>
-            {
-                Ok(ReadDispatch::NeedsWrite)
-            }
-            "persist" => self.exec_persist(cmd).map(ReadDispatch::Done),
-            "metrics" => self.exec_metrics(cmd).map(ReadDispatch::Done),
-            _ => Ok(ReadDispatch::NeedsWrite),
-        }
+    /// Answers one parsed read-only command through `&self`. Returns
+    /// `Ok(None)` when it needs exclusive access after all — an
+    /// `instance_query` asking for a CIF layout that has not been
+    /// generated yet.
+    pub(crate) fn dispatch_read(
+        &self,
+        ns: NsId,
+        cmd: &Command,
+    ) -> Result<Option<Response>, IcdbError> {
+        let response = match cmd.name.as_str() {
+            "component_query" => self.exec_component_query(cmd)?,
+            "function_query" => self.exec_function_query(cmd)?,
+            "instance_query" => return self.exec_instance_query(ns, cmd),
+            "connect_component" => self.exec_connect(ns, cmd)?,
+            "merge_query" => self.exec_merge_query(cmd)?,
+            "tool_query" => self.exec_tool_query(cmd)?,
+            "cache_query" => self.exec_cache_query(cmd)?,
+            "explore" => self.exec_explore(ns, cmd)?.1,
+            "corpus" => self.exec_corpus(cmd)?,
+            "persist" => self.exec_persist(cmd)?,
+            "metrics" => self.exec_metrics(cmd)?,
+            other => return Err(IcdbError::Cql(format!("unknown command `{other}`"))),
+        };
+        Ok(Some(response))
     }
 
     /// `component_query` (§3.2.1): what implementations exist for a
@@ -522,7 +415,7 @@ impl Icdb {
     /// function, functions, VHDL views, connection info, CIF. Read-only:
     /// asks for exclusive access when the query wants a CIF layout that
     /// has not been generated yet.
-    fn exec_instance_query(&self, ns: NsId, cmd: &Command) -> Result<ReadDispatch, IcdbError> {
+    fn exec_instance_query(&self, ns: NsId, cmd: &Command) -> Result<Option<Response>, IcdbError> {
         let name = instance_query_target(cmd)?;
         let mut resp = Response::new();
         for key in cmd.pending_keys() {
@@ -542,7 +435,7 @@ impl Icdb {
                 "connect" => resp.set(key, CqlValue::Str(self.connect_string_in(ns, &name)?)),
                 "CIF_layout" => match self.cif_layout_cached_in(ns, &name)? {
                     Some(cif) => resp.set(key, CqlValue::Str(cif.to_string())),
-                    None => return Ok(ReadDispatch::NeedsWrite),
+                    None => return Ok(None),
                 },
                 "clock_width" => {
                     resp.set(
@@ -558,7 +451,7 @@ impl Icdb {
                 }
             }
         }
-        Ok(ReadDispatch::Done(resp))
+        Ok(Some(resp))
     }
 
     /// `insert_component` (the §2.2 knowledge-acquisition path): insert a
@@ -776,23 +669,15 @@ impl Icdb {
                 (false, _) => Ok(None),
             }
         };
-        // Same loud-error rule for the `publish:` routing flag: a value
-        // that is not an integer must not silently mean "don't publish".
-        if cmd.has("publish") && cmd.int_term("publish").is_none() {
-            return Err(IcdbError::Cql("explore publish: takes 0 or 1".to_string()));
-        }
-        // And for the corpus-pruning dials: `prune:0` is the escape hatch
-        // that guarantees every grid point is evaluated, `prune_exact:0`
-        // opts into heuristic margin pruning — a typo must not silently
-        // flip either.
-        if cmd.has("prune") && cmd.int_term("prune").is_none() {
-            return Err(IcdbError::Cql("explore prune: takes 0 or 1".to_string()));
-        }
-        if cmd.has("prune_exact") && cmd.int_term("prune_exact").is_none() {
-            return Err(IcdbError::Cql(
-                "explore prune_exact: takes 0 or 1".to_string(),
-            ));
-        }
+        // Same loud-error rule for the `publish:` routing flag (a value
+        // that is not an integer must not silently mean "don't publish")
+        // and the corpus-pruning dials: `prune:0` is the escape hatch that
+        // guarantees every grid point is evaluated, `prune_exact:0` opts
+        // into heuristic margin pruning — a typo must not silently flip
+        // either.
+        flag(cmd, "publish", false)?;
+        let prune = flag(cmd, "prune", true)?;
+        let prune_exact = flag(cmd, "prune_exact", true)?;
         if cmd.has("weights") && cmd.attrs_term("weights").is_none() {
             return Err(IcdbError::Cql(
                 "explore weights must be an attribute list like (area:1,delay:2,power:0)"
@@ -871,8 +756,8 @@ impl Icdb {
                 .int_term("workers")
                 .map(|w| w.max(0) as usize)
                 .unwrap_or(default_workers),
-            prune: cmd.int_term("prune").unwrap_or(1) != 0,
-            prune_exact: cmd.int_term("prune_exact").unwrap_or(1) != 0,
+            prune,
+            prune_exact,
         };
 
         let (report, stats) = self.explore_in_with_stats(ns, &spec)?;
@@ -1147,32 +1032,14 @@ impl Icdb {
     }
 }
 
-/// Whether a `persist` command asks for a checkpoint first — loud error on
-/// a present-but-unparsable flag, like `explore publish:`.
-fn persist_wants_checkpoint(cmd: &Command) -> Result<bool, IcdbError> {
-    if cmd.has("checkpoint") && cmd.int_term("checkpoint").is_none() {
-        return Err(IcdbError::Cql("persist checkpoint: takes 0 or 1".into()));
+/// A `0`/`1` flag term, `default` when absent — and a loud error when it
+/// is present but not an integer, so a typo cannot silently flip it.
+fn flag(cmd: &Command, key: &str, default: bool) -> Result<bool, IcdbError> {
+    match (cmd.has(key), cmd.int_term(key)) {
+        (false, _) => Ok(default),
+        (true, Some(v)) => Ok(v != 0),
+        (true, None) => Err(IcdbError::Cql(format!("{} {key}: takes 0 or 1", cmd.name))),
     }
-    Ok(cmd.int_term("checkpoint").unwrap_or(0) != 0)
-}
-
-/// Whether a `persist` command asks for a latched durability fault to be
-/// cleared (checkpoint-if-degraded) — same loud-error contract as
-/// `checkpoint:`.
-fn persist_wants_clear_fault(cmd: &Command) -> Result<bool, IcdbError> {
-    if cmd.has("clear_fault") && cmd.int_term("clear_fault").is_none() {
-        return Err(IcdbError::Cql("persist clear_fault: takes 0 or 1".into()));
-    }
-    Ok(cmd.int_term("clear_fault").unwrap_or(0) != 0)
-}
-
-/// Whether a `persist` command asks for follower promotion — same
-/// loud-error contract as `checkpoint:`.
-fn persist_wants_promote(cmd: &Command) -> Result<bool, IcdbError> {
-    if cmd.has("promote") && cmd.int_term("promote").is_none() {
-        return Err(IcdbError::Cql("persist promote: takes 0 or 1".into()));
-    }
-    Ok(cmd.int_term("promote").unwrap_or(0) != 0)
 }
 
 fn design_of(cmd: &Command) -> Result<String, IcdbError> {
@@ -1186,73 +1053,4 @@ fn instance_query_target(cmd: &Command) -> Result<String, IcdbError> {
         .or_else(|| cmd.str_term("generated_component"))
         .map(str::to_string)
         .ok_or_else(|| IcdbError::Cql("instance_query needs instance:%s".into()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every name in `READ_ONLY_COMMANDS` must reach a real executor in
-    /// `dispatch_read_in` (never the `NeedsWrite` default arm), and every
-    /// other name must fall through to it — otherwise the shared-lock fast
-    /// path silently drifts out of sync with the classification.
-    #[test]
-    fn read_only_list_matches_read_dispatch() {
-        let icdb = Icdb::new();
-        let bare = |name: &str| Command {
-            name: name.to_string(),
-            terms: Vec::new(),
-        };
-        for name in READ_ONLY_COMMANDS {
-            // A bare command may legitimately error (missing terms), but a
-            // routed command never reports NeedsWrite from the default arm.
-            let routed = !matches!(
-                icdb.dispatch_read_in(NsId::ROOT, &bare(name)),
-                Ok(ReadDispatch::NeedsWrite)
-            );
-            assert!(routed, "`{name}` is listed read-only but not dispatched");
-            assert!(command_is_read_only(name));
-            assert!(command_text_is_read_only(&format!("command:{name}; x:?s")));
-        }
-        for name in ["request_component", "insert_component", "start_a_design"] {
-            assert!(
-                matches!(
-                    icdb.dispatch_read_in(NsId::ROOT, &bare(name)),
-                    Ok(ReadDispatch::NeedsWrite)
-                ),
-                "mutating `{name}` must fall through to the exclusive path"
-            );
-            assert!(!command_text_is_read_only(&format!("command:{name}")));
-        }
-    }
-
-    /// Knowledge-only commands are a strict subset of the read-only set,
-    /// and the text classifier routes instance/publish traffic away from
-    /// the lock-free snapshot path.
-    #[test]
-    fn knowledge_only_is_a_snapshot_safe_subset() {
-        for name in KNOWLEDGE_ONLY_COMMANDS {
-            assert!(
-                command_is_read_only(name),
-                "`{name}` is knowledge-only but not read-only"
-            );
-            assert!(command_text_is_knowledge_only(&format!(
-                "command:{name}; x:?s"
-            )));
-        }
-        for text in [
-            "command:instance_query; instance:%s",
-            "command:connect_component; name:%s",
-            "command:persist; stats:?s",
-            "command:explore; component:%s; publish: 1",
-            "command:explore; component:%s; publish: 0",
-            "command:request_component",
-            "x:?s",
-        ] {
-            assert!(
-                !command_text_is_knowledge_only(text),
-                "`{text}` must not route to the epoch snapshot"
-            );
-        }
-    }
 }

@@ -74,7 +74,6 @@ mod tools;
 
 pub use cache::{CacheStats, GenCache, GenerationPayload, LayerStats, RequestKey};
 pub use corpus::CorpusStats;
-pub use cql::command_text_is_read_only;
 pub use designs::DesignManager;
 pub use error::IcdbError;
 pub use events::{Applied, MutationEvent};

@@ -6,9 +6,10 @@
 //! replacing the single big `RwLock` of earlier revisions:
 //!
 //! * **Epoch snapshots (lock-free reads).** Warm *and cold*
-//!   `Icdb::prepare_payload` runs, knowledge-only CQL queries
-//!   (`component_query`, `cache_query`, …) and [`Session::explore`]
-//!   sweeps are answered from an `Icdb::read_snapshot`: a cloned view
+//!   `Icdb::prepare_payload` runs, knowledge-only CQL queries (the
+//!   `Knowledge` rows of [`icdb_cql::COMMANDS`]: `component_query`,
+//!   `cache_query`, …) and [`Session::explore`] sweeps are answered
+//!   from an `Icdb::read_snapshot`: a cloned view
 //!   of the knowledge base, cell library and tool registry sharing the
 //!   (internally synchronized) generation cache. Snapshot freshness is
 //!   tracked by two atomic version mirrors — the moment knowledge
@@ -70,7 +71,7 @@ use crate::persist::PersistStats;
 use crate::space::{NsId, ShardSet};
 use crate::spec::{ComponentRequest, Source};
 use crate::{CacheStats, Icdb};
-use icdb_cql::CqlArg;
+use icdb_cql::{bind_outputs, parse_command, Command, CqlArg, Response, Tier};
 use icdb_estimate::LoadSpec;
 use std::collections::HashMap;
 use std::path::Path;
@@ -826,48 +827,60 @@ impl Session {
         })
     }
 
-    /// Executes one CQL command in this session's namespace.
-    /// Knowledge-only commands (`component_query`, `cache_query`, …) are
-    /// answered from the epoch snapshot without any lock; the remaining
-    /// read-only commands (`instance_query`, unpublished `explore`, …)
-    /// run under the shared lock; mutating commands (and instance queries
-    /// needing cold layout generation) take the exclusive commit section.
+    /// Executes one CQL command in this session's namespace: parses it
+    /// once and runs it through [`Session::dispatch`].
     ///
     /// # Errors
     /// See [`Icdb::execute`].
     pub fn execute(&self, command: &str, args: &mut [CqlArg]) -> Result<(), IcdbError> {
-        if crate::cql::command_text_is_knowledge_only(command) {
-            // An epoch failure (e.g. a component missing from a snapshot
-            // that is mid-rebuild) falls through to the locked paths so
-            // errors always reflect live state.
-            if let Ok(true) = self
-                .service
-                .epoch()
-                .execute_read_in(NsId::ROOT, command, args)
-            {
+        let (cmd, outs) = parse_command(command, args)?;
+        let response = self.dispatch(&cmd)?;
+        bind_outputs(&response, &outs, args)?;
+        Ok(())
+    }
+
+    /// Runs one parsed CQL command in this session's namespace, at the
+    /// tier its [`icdb_cql::COMMANDS`] row names (escalated by its terms):
+    /// knowledge-only commands (`component_query`, `cache_query`, …) are
+    /// answered from the epoch snapshot without any lock; the remaining
+    /// read-only commands (`instance_query`, unpublished `explore`, …)
+    /// run under the shared lock; mutating commands take the exclusive
+    /// commit section. A tier that cannot answer hands the same parsed
+    /// command to the next one: an epoch failure (e.g. a component
+    /// missing from a snapshot that is mid-rebuild) retries under the
+    /// shared lock so errors reflect live state, and an instance query
+    /// needing cold layout generation escalates to the exclusive section.
+    ///
+    /// # Errors
+    /// See [`Icdb::execute`].
+    pub fn dispatch(&self, cmd: &Command) -> Result<Response, IcdbError> {
+        let route = crate::cql::route(cmd)?;
+        if route.tier == Tier::Knowledge {
+            if let Ok(Some(response)) = self.service.epoch().dispatch_read(NsId::ROOT, cmd) {
                 // Epoch sweeps (`explore`) queue corpus rows without a
                 // lock; piggyback their journal flush on the way out.
                 self.service.flush_corpus();
-                return Ok(());
+                return Ok(response);
             }
         }
-        if crate::cql::command_text_is_read_only(command) {
+        if route.read_only() {
             let guard = self.service.read();
-            if guard.execute_read_in(self.ns, command, args)? {
+            if let Some(response) = guard.dispatch_read(self.ns, cmd)? {
                 drop(guard);
                 self.service.flush_corpus();
-                return Ok(());
+                return Ok(response);
             }
         }
-        if crate::cql::command_text_is_persist(command) {
-            // `persist` is the re-arming path; a degraded server must
-            // still run its checkpoint / clear_fault dispatch.
-            return self.service.with_write_allowing_degraded(self.ns, |icdb| {
-                icdb.execute_in(self.ns, command, args)
-            });
+        if route.rearms {
+            // `persist` is the re-arming path; a degraded server or a
+            // follower must still run its checkpoint / clear_fault /
+            // promote dispatch.
+            return self
+                .service
+                .with_write_allowing_degraded(self.ns, |icdb| icdb.dispatch_in(self.ns, cmd));
         }
         self.service
-            .with_write(self.ns, |icdb| icdb.execute_in(self.ns, command, args))
+            .with_write(self.ns, |icdb| icdb.dispatch_in(self.ns, cmd))
     }
 
     /// Runs a design-space exploration sweep in this session against the

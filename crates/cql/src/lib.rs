@@ -41,8 +41,15 @@
 //! bind_outputs(&resp, &outs, &mut args).unwrap();
 //! assert_eq!(args[1], CqlArg::OutStr(Some("counter$1".into())));
 //! ```
+//!
+//! [`COMMANDS`] is the one list of request verbs — every CQL command and
+//! every `icdbd` wire verb — with the lock [`Tier`] each runs under.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+
+mod commands;
+
+pub use commands::{command_spec, CommandSpec, Tier, COMMANDS};
 
 use std::collections::HashMap;
 use std::fmt;

@@ -177,15 +177,13 @@ pub fn estimate_area(
     let width = (x + y) / 2.0;
 
     // Height: transistor rows + routing tracks + shared supply rails.
-    let fanouts = nl.fanouts();
+    // A net joining its driver to k sinks needs k × 1.5 pitches of wire,
+    // so the total is the gate input-pin count times 1.5 pitches —
+    // counted as an integer, so the estimate cannot depend on the order
+    // nets are visited in.
     let pitch = width * strips as f64 / n as f64;
-    let mut total_wire = 0.0;
-    for (_, sinks) in fanouts.iter() {
-        let pins = sinks.len() + 1; // driver + sinks
-        if pins >= 2 {
-            total_wire += (pins - 1) as f64 * pitch * 1.5;
-        }
-    }
+    let sinks: usize = nl.gates.iter().map(|g| g.inputs.len()).sum();
+    let mut total_wire = sinks as f64 * pitch * 1.5;
     // Ports add wiring to the boundary.
     total_wire += (nl.inputs.len() + nl.outputs.len()) as f64 * pitch;
 

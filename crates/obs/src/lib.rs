@@ -1,7 +1,9 @@
 //! # icdb-obs — observability for the ICDB serving layer
 //!
-//! A zero-dependency metrics + logging crate, consistent with the
-//! workspace's vendored-shims policy: nothing here needs crates.io.
+//! A metrics + logging crate, consistent with the workspace's
+//! vendored-shims policy: nothing here needs crates.io. Its one
+//! dependency, `icdb-cql`, supplies the request-verb table the
+//! per-command counters are sized and labelled from.
 //!
 //! Two halves:
 //!

@@ -10,6 +10,7 @@
 //! snapshot) before rendering so the `metrics` CQL command and the HTTP
 //! `/metrics` endpoint agree by construction.
 
+use icdb_cql::COMMANDS;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -230,45 +231,25 @@ impl HistSnapshot {
 // The registry: every metric the serving layer records, as named statics.
 // ---------------------------------------------------------------------------
 
-/// Request command families tracked with dedicated counter + latency
-/// histogram slots. CQL commands first, then the wire-level verbs the
-/// server answers outside the CQL dispatcher; the final `"other"` slot
-/// absorbs anything unrecognised.
-pub const COMMANDS: &[&str] = &[
-    "component_query",
-    "function_query",
-    "request_component",
-    "instance_query",
-    "connect_component",
-    "start_a_design",
-    "start_a_transaction",
-    "put_in_component_list",
-    "end_a_transaction",
-    "end_a_design",
-    "insert_component",
-    "merge_query",
-    "tool_query",
-    "cache_query",
-    "explore",
-    "persist",
-    "metrics",
-    "corpus",
-    "attach",
-    "hello",
-    "wait_seq",
-    "repl_snapshot",
-    "repl_stream",
-    "other",
-];
+/// Per-command metric slots: one per row of the request-verb table
+/// ([`icdb_cql::COMMANDS`]), in table order, plus a trailing `other` slot
+/// for unknown verbs and requests that never parsed.
+pub const COMMAND_SLOTS: usize = COMMANDS.len() + 1;
 
-/// Slot for a command name (linear scan — the list is short and the
+/// Slot for a command name (linear scan — the table is short and the
 /// strings are mostly length-distinct, so this is a handful of compares).
 #[must_use]
 pub fn command_index(name: &str) -> usize {
     COMMANDS
         .iter()
-        .position(|c| *c == name)
-        .unwrap_or(COMMANDS.len() - 1)
+        .position(|c| c.name == name)
+        .unwrap_or(COMMANDS.len())
+}
+
+/// The `command=` label of a slot.
+#[must_use]
+pub fn command_label(slot: usize) -> &'static str {
+    COMMANDS.get(slot).map_or("other", |c| c.name)
 }
 
 /// Wire error codes tracked by [`ERRORS`] (mirrors the server's
@@ -286,10 +267,10 @@ pub fn error_index(code: &str) -> usize {
 }
 
 /// Per-command request counters (`icdb_requests_total{command=…}`).
-pub static REQUESTS: [Counter; COMMANDS.len()] = [const { Counter::new() }; COMMANDS.len()];
+pub static REQUESTS: [Counter; COMMAND_SLOTS] = [const { Counter::new() }; COMMAND_SLOTS];
 /// Per-command request latency in µs (`icdb_request_latency_us{command=…}`).
-pub static REQUEST_LATENCY_US: [Histogram; COMMANDS.len()] =
-    [const { Histogram::new() }; COMMANDS.len()];
+pub static REQUEST_LATENCY_US: [Histogram; COMMAND_SLOTS] =
+    [const { Histogram::new() }; COMMAND_SLOTS];
 /// Per-error-code counters (`icdb_request_errors_total{code=…}`; one
 /// extra slot for unknown codes).
 pub static ERRORS: [Counter; ERROR_CODES.len() + 1] =
@@ -528,24 +509,25 @@ pub fn push_histogram(
 #[must_use]
 pub fn gather() -> Vec<Sample> {
     let mut out = Vec::with_capacity(256);
-    for (i, name) in COMMANDS.iter().enumerate() {
-        let n = REQUESTS[i].get();
+    for (i, requests) in REQUESTS.iter().enumerate() {
+        let n = requests.get();
         if n == 0 {
             continue;
         }
+        let labels = format!("command=\"{}\"", command_label(i));
         out.push(Sample {
             name: "icdb_requests_total".to_string(),
             family: Cow::Borrowed("icdb_requests_total"),
             kind: "counter",
             help: Cow::Borrowed("Requests dispatched, by command"),
-            labels: format!("command=\"{name}\""),
+            labels: labels.clone(),
             value: SampleValue::Int(n),
         });
         push_histogram(
             &mut out,
             "icdb_request_latency_us",
             "Request dispatch latency in microseconds, by command",
-            &format!("command=\"{name}\""),
+            &labels,
             &REQUEST_LATENCY_US[i].snapshot(),
         );
     }
@@ -760,9 +742,9 @@ mod tests {
 
     #[test]
     fn command_index_interns_and_folds_unknown() {
-        assert_eq!(COMMANDS[command_index("persist")], "persist");
-        assert_eq!(COMMANDS[command_index("metrics")], "metrics");
-        assert_eq!(COMMANDS[command_index("no_such_cmd")], "other");
+        assert_eq!(command_label(command_index("persist")), "persist");
+        assert_eq!(command_label(command_index("metrics")), "metrics");
+        assert_eq!(command_label(command_index("no_such_cmd")), "other");
         assert_eq!(ERROR_CODES[error_index("readonly")], "readonly");
         assert_eq!(error_index("weird"), ERROR_CODES.len());
     }

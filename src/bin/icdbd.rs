@@ -3,9 +3,9 @@
 //! Serves the shared knowledge base, generation cache and per-connection
 //! design namespaces over the line-oriented CQL protocol of
 //! [`icdb::net`]. Connections are multiplexed over an epoll worker pool
-//! (`--workers`, Linux); `--max-connections` is pure admission policy —
-//! a connection over the cap is refused with `ERR capacity …`, never
-//! queued.
+//! (`--workers`), so the daemon is Linux-only; `--max-connections` is
+//! pure admission policy — a connection over the cap is refused with
+//! `ERR capacity …`, never queued.
 //!
 //! ```text
 //! icdbd [--addr HOST:PORT] [--max-connections N] [--workers N]

@@ -1,5 +1,6 @@
-//! The Linux epoll event loop behind [`crate::net::Server`]: thousands of
-//! connections multiplexed over a small worker pool.
+//! The epoll event loop behind [`crate::net::Server`] — its only serve
+//! path, which makes `icdbd` Linux-only: thousands of connections
+//! multiplexed over a small worker pool.
 //!
 //! Earlier revisions ran one thread per connection, so the connection cap
 //! was really a thread budget. Here a blocking acceptor admits sockets
@@ -164,11 +165,14 @@ impl Conn {
         Ok(())
     }
 
-    /// Reads everything currently available; returns whether the peer
+    /// Reads what is currently available, but stops once `rbuf` holds
+    /// more than [`MAX_LINE`] bytes — level-triggered epoll reports the
+    /// rest on the next wakeup, so a peer that keeps the socket readable
+    /// cannot grow the buffer without bound. Returns whether the peer
     /// closed its end.
     fn fill(&mut self) -> io::Result<bool> {
         let mut chunk = [0u8; 16 * 1024];
-        loop {
+        while self.rbuf.len() <= MAX_LINE {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Ok(true),
                 Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
@@ -177,13 +181,17 @@ impl Conn {
                 Err(e) => return Err(e),
             }
         }
+        Ok(false)
     }
 
-    /// Executes every complete line framed in `rbuf`, appending the
-    /// responses to `wbuf` — the same per-line protocol as the threaded
-    /// server, state-machine style.
+    /// Executes every complete line framed in `rbuf`, appending one
+    /// response per line to `wbuf`; a line longer than [`MAX_LINE`] is
+    /// refused and the connection closed.
     fn process_lines(&mut self) {
         while let Some(pos) = self.rbuf.iter().position(|&b| b == b'\n') {
+            if pos > MAX_LINE {
+                break;
+            }
             let frame: Vec<u8> = self.rbuf.drain(..=pos).collect();
             let text = String::from_utf8_lossy(&frame[..pos]);
             let line = text.trim_end_matches(['\r', '\n']);

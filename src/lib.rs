@@ -60,11 +60,9 @@ pub use icdb_core::{
     PersistStats, ReplSnapshot, RequestKey, Session, Source, TargetLevel,
 };
 
+mod event_loop;
 pub mod net;
 pub mod repl;
-
-#[cfg(target_os = "linux")]
-mod event_loop;
 
 /// The component server (re-export of `icdb-core`).
 pub mod core {

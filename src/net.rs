@@ -4,11 +4,10 @@
 //! module puts the same calls on a socket so many synthesis tools can
 //! share one component database. Each connection gets its own
 //! [`Session`](icdb_core::Session) (isolated instance namespace over the
-//! shared knowledge base). On Linux the server multiplexes all
-//! connections over a small epoll worker pool (see
-//! `crate::event_loop`): the connection cap is pure admission policy,
-//! not a thread budget, so thousands of concurrent clients are fine.
-//! Elsewhere it falls back to one thread per connection.
+//! shared knowledge base). The server multiplexes all connections over a
+//! small epoll worker pool (see `crate::event_loop`), so it is
+//! Linux-only: the connection cap is pure admission policy, not a thread
+//! budget, so thousands of concurrent clients are fine.
 //!
 //! ## Wire protocol
 //!
@@ -62,12 +61,15 @@
 //! swapping the receiver.
 
 use icdb_core::{IcdbError, IcdbService};
-use icdb_cql::{scan_slots, CqlArg, SlotSpec, SlotType};
+use icdb_cql::{
+    bind_outputs, command_spec, parse_command, scan_slots, CommandSpec, CqlArg, SlotSpec, SlotType,
+    COMMANDS,
+};
 use icdb_obs::log as olog;
 use icdb_obs::metrics as obs;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -88,9 +90,8 @@ const LIST_SEP: char = '\u{1f}';
 
 /// A request line longer than this is refused: it is either a protocol
 /// violation or a hostile stream, and buffering it unbounded would let
-/// one connection exhaust the server. Shared by the epoll loop and the
-/// thread-per-connection fallback.
-pub(crate) const MAX_LINE: usize = 32 * 1024 * 1024;
+/// one connection exhaust the server.
+pub const MAX_LINE: usize = 32 * 1024 * 1024;
 
 /// Machine-readable reason code carried as the first word of an `ERR`
 /// response line.
@@ -298,6 +299,20 @@ fn encode_output(arg: &CqlArg) -> String {
     }
 }
 
+/// Whether an argument is a `?` output slot (answered by one response
+/// line) rather than a `%` input.
+fn is_output(arg: &CqlArg) -> bool {
+    matches!(
+        arg,
+        CqlArg::OutStr(_)
+            | CqlArg::OutInt(_)
+            | CqlArg::OutReal(_)
+            | CqlArg::OutStrList(_)
+            | CqlArg::OutIntList(_)
+            | CqlArg::OutRealList(_)
+    )
+}
+
 /// Writes a decoded response line back into the client's output argument.
 fn decode_output(line: &str, arg: &mut CqlArg) -> Result<(), String> {
     if line == "-" {
@@ -337,9 +352,8 @@ fn decode_output(line: &str, arg: &mut CqlArg) -> Result<(), String> {
 // --------------------------------------------------------------- server
 
 /// The `icdbd` TCP server: an [`IcdbService`] behind a line-oriented CQL
-/// protocol, one session per connection, bounded by an admission cap.
-/// Linux builds serve all connections from an epoll worker pool; other
-/// platforms fall back to one thread per connection.
+/// protocol, one session per connection, bounded by an admission cap, all
+/// connections served from an epoll worker pool.
 pub struct Server {
     listener: TcpListener,
     service: Arc<IcdbService>,
@@ -403,8 +417,7 @@ impl Server {
         Server::bind_with(addr, service, max_connections, DEFAULT_WORKERS)
     }
 
-    /// [`Server::bind`] with an explicit epoll worker-pool size (ignored
-    /// by the thread-per-connection fallback on non-Linux platforms).
+    /// [`Server::bind`] with an explicit epoll worker-pool size.
     ///
     /// # Errors
     /// Propagates socket errors.
@@ -426,10 +439,8 @@ impl Server {
     }
 
     /// Attaches an already-bound listener for the HTTP metrics endpoint
-    /// (`icdbd --metrics-addr HOST:PORT`). On Linux it is multiplexed on
-    /// the existing epoll loop (no new thread model); the portable
-    /// fallback serves it from one blocking acceptor thread. Every
-    /// request is answered with the Prometheus text exposition of
+    /// (`icdbd --metrics-addr HOST:PORT`), multiplexed on the existing
+    /// epoll loop (no new thread model). Every request is answered with the Prometheus text exposition of
     /// [`IcdbService::metrics_text`] and closed.
     pub fn set_metrics_listener(&mut self, listener: TcpListener) {
         self.metrics = Some(listener);
@@ -457,88 +468,23 @@ impl Server {
     }
 
     /// Runs the server on the current thread until shut down: the accept
-    /// loop admits connections and the epoll workers serve them (Linux;
-    /// elsewhere each admitted connection gets a thread). Returns only
-    /// after every worker exited and dropped its sessions, so a caller
-    /// that checkpoints afterwards sees all namespace cleanup journaled.
+    /// loop admits connections and the epoll workers serve them. Returns
+    /// only after every worker exited and dropped its sessions, so a
+    /// caller that checkpoints afterwards sees all namespace cleanup
+    /// journaled.
     ///
     /// # Errors
     /// Propagates accept errors.
     pub fn serve(self) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        {
-            crate::event_loop::serve(
-                self.listener,
-                self.service,
-                self.max_connections,
-                self.workers,
-                self.idle_timeout,
-                self.shutdown,
-                self.metrics,
-            )
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            self.serve_threaded()
-        }
-    }
-
-    /// The portable thread-per-connection fallback. Compiled (and unit
-    /// tested) on every platform so Linux builds keep it honest; only
-    /// non-Linux [`Server::serve`] calls it in production.
-    #[cfg_attr(target_os = "linux", allow(dead_code))]
-    fn serve_threaded(mut self) -> io::Result<()> {
-        let _ = self.workers;
-        if let Some(metrics) = self.metrics.take() {
-            let service = Arc::clone(&self.service);
-            let shutdown = Arc::clone(&self.shutdown);
-            std::thread::spawn(move || serve_metrics_blocking(&metrics, &service, &shutdown));
-        }
-        let active = Arc::new(AtomicUsize::new(0));
-        for stream in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            // A transient accept failure (ECONNABORTED, fd exhaustion under
-            // load) must not take down every live session: log, back off a
-            // beat, keep accepting.
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(e) => {
-                    olog::warn(
-                        "net",
-                        "accept failed (continuing)",
-                        &[("error", olog::Value::Str(&e.to_string()))],
-                    );
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    continue;
-                }
-            };
-            // Connection cap: refuse politely instead of queueing forever.
-            if active.fetch_add(1, Ordering::SeqCst) >= self.max_connections {
-                active.fetch_sub(1, Ordering::SeqCst);
-                let mut w = BufWriter::new(&stream);
-                let _ = writeln!(
-                    w,
-                    "ERR {} server at connection capacity ({})",
-                    ErrCode::Capacity.as_str(),
-                    self.max_connections
-                );
-                let _ = w.flush();
-                continue;
-            }
-            obs::CONNECTIONS_ACCEPTED.inc();
-            obs::CONNECTIONS.inc();
-            let service = Arc::clone(&self.service);
-            let active = Arc::clone(&active);
-            let idle_timeout = self.idle_timeout;
-            std::thread::spawn(move || {
-                let _ = handle_connection(stream, &service, idle_timeout);
-                active.fetch_sub(1, Ordering::SeqCst);
-                obs::CONNECTIONS.dec();
-            });
-        }
-        Ok(())
+        crate::event_loop::serve(
+            self.listener,
+            self.service,
+            self.max_connections,
+            self.workers,
+            self.idle_timeout,
+            self.shutdown,
+            self.metrics,
+        )
     }
 
     /// Moves the accept loop to a background thread and returns a handle
@@ -555,100 +501,6 @@ impl Server {
             shutdown,
             join: Some(join),
         })
-    }
-}
-
-/// Serves one connection: opens a session, answers one command per line
-/// until `quit` or EOF, then drops the session (deleting its namespace).
-///
-/// Besides CQL command lines, the protocol accepts `attach ns<N>` (or
-/// `attach <N>`): re-bind the connection's session to an existing
-/// namespace — the crash-recovery path, since a durable server preserves
-/// namespace ids across restarts (see [`icdb_core::Session::attach`]).
-/// The response is `OK 2` + `s ns<N>` + `d <commit_seq>` on success.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn handle_connection(
-    stream: TcpStream,
-    service: &Arc<IcdbService>,
-    idle_timeout: Duration,
-) -> io::Result<()> {
-    let mut session = service.open_session();
-    if idle_timeout > Duration::ZERO {
-        // The blocking fallback bounds idleness with a socket read
-        // timeout: a silent peer errors out of `read_bounded_line` and
-        // the connection closes, same policy as the epoll sweep.
-        stream.set_read_timeout(Some(idle_timeout))?;
-    }
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    writeln!(writer, "OK icdbd ready (session ns{})", session.ns().raw())?;
-    writer.flush()?;
-    loop {
-        let line = match read_bounded_line(&mut reader, MAX_LINE) {
-            Ok(Some(line)) => line,
-            Ok(None) => break,
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Oversized request line: refuse and disconnect, exactly
-                // like the epoll loop.
-                writeln!(
-                    writer,
-                    "ERR {} request line exceeds {MAX_LINE} bytes",
-                    ErrCode::Parse.as_str()
-                )?;
-                writer.flush()?;
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.is_empty() {
-            continue;
-        }
-        if line == "quit" || line == "exit" {
-            break;
-        }
-        let outcome = dispatch_line(&mut session, line);
-        match outcome {
-            Ok(reply) => writer.write_all(reply.render().as_bytes())?,
-            Err((code, message)) => writeln!(writer, "ERR {} {}", code.as_str(), escape(&message))?,
-        }
-        writer.flush()?;
-    }
-    Ok(())
-}
-
-/// Reads one `\n`-terminated line without ever buffering more than
-/// `limit` bytes: the bounded replacement for `BufRead::lines` in the
-/// thread-per-connection fallback. Returns `Ok(None)` at EOF and
-/// `ErrorKind::InvalidData` when the line exceeds the limit (the caller
-/// refuses and disconnects).
-fn read_bounded_line(
-    reader: &mut BufReader<TcpStream>,
-    limit: usize,
-) -> io::Result<Option<String>> {
-    let mut line = Vec::new();
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            if line.is_empty() {
-                return Ok(None);
-            }
-            return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
-        }
-        if let Some(pos) = available.iter().position(|&b| b == b'\n') {
-            line.extend_from_slice(&available[..pos]);
-            reader.consume(pos + 1);
-            if line.len() > limit {
-                return Err(io::ErrorKind::InvalidData.into());
-            }
-            return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
-        }
-        let n = available.len();
-        line.extend_from_slice(available);
-        reader.consume(n);
-        if line.len() > limit {
-            return Err(io::ErrorKind::InvalidData.into());
-        }
     }
 }
 
@@ -722,11 +574,16 @@ pub(crate) fn attach_session(
     Ok(Reply::plain(vec![format!("s ns{raw}"), format!("d {seq}")]))
 }
 
-/// Decodes one request line, executes it in the session, and encodes the
-/// output lines. Errors carry their wire reason code: decoding problems
-/// are `parse`, execution failures `cql` (or `readonly` when a degraded
-/// server refuses a commit).
-pub(crate) fn answer(session: &icdb_core::Session, line: &str) -> Result<Reply, (ErrCode, String)> {
+/// Decodes one CQL request line, executes it in the session, and encodes
+/// the output lines. The command text is parsed once; `slot` is set to the
+/// command's metric slot as soon as it parses. Errors carry their wire
+/// reason code: decoding problems are `parse`, execution failures `cql`
+/// (or `readonly` / `not_primary` when the server refuses a commit).
+fn answer(
+    session: &icdb_core::Session,
+    line: &str,
+    slot: &mut usize,
+) -> Result<Reply, (ErrCode, String)> {
     let parse = |m: String| (ErrCode::Parse, m);
     let mut fields = line.split('\t');
     let command = unescape(fields.next().unwrap_or_default()).map_err(parse)?;
@@ -745,31 +602,19 @@ pub(crate) fn answer(session: &icdb_core::Session, line: &str) -> Result<Reply, 
     if fields.next().is_some() {
         return Err(parse("more input fields than % slots".into()));
     }
-    session
-        .execute(&command, &mut args)
-        .map_err(|e| (err_code_of(&e), e.to_string()))?;
-    let commit = if icdb_core::command_text_is_read_only(&command) {
-        None
-    } else {
-        Some(session.commit_seq())
-    };
+    let failed = |e: IcdbError| (err_code_of(&e), e.to_string());
+    let (cmd, outs) = parse_command(&command, &args).map_err(|e| failed(e.into()))?;
+    *slot = obs::command_index(&cmd.name);
+    let response = session.dispatch(&cmd).map_err(failed)?;
+    bind_outputs(&response, &outs, &mut args).map_err(|e| failed(e.into()))?;
+    let read_only = COMMANDS.get(*slot).is_some_and(CommandSpec::read_only);
     Ok(Reply {
         lines: args
             .iter()
-            .filter(|a| {
-                matches!(
-                    a,
-                    CqlArg::OutStr(_)
-                        | CqlArg::OutInt(_)
-                        | CqlArg::OutReal(_)
-                        | CqlArg::OutStrList(_)
-                        | CqlArg::OutIntList(_)
-                        | CqlArg::OutRealList(_)
-                )
-            })
+            .filter(|a| is_output(a))
             .map(encode_output)
             .collect(),
-        commit,
+        commit: (!read_only).then(|| session.commit_seq()),
         extra: None,
     })
 }
@@ -787,31 +632,48 @@ const MAX_STREAM_WAIT_MS: u64 = 1_000;
 const DEFAULT_WAIT_SEQ_TIMEOUT_MS: u64 = 5_000;
 const MAX_WAIT_SEQ_TIMEOUT_MS: u64 = 60_000;
 
-/// Routes one request line to its handler — the single dispatch shared by
-/// the epoll event loop and the thread-per-connection fallback, so both
-/// server paths speak the identical protocol: `attach`, `hello`,
-/// `wait_seq`, the replication commands, and plain CQL via [`answer`].
+/// Routes one request line to its handler: a wire verb (`attach`,
+/// `hello`, `wait_seq`, the replication commands) by its first word, and
+/// plain CQL via [`answer`].
 ///
 /// Every request is metered here: a per-command counter + latency
 /// histogram, per-code error counters, and — past `--slow-query-ms` — a
-/// WARN log line carrying the request's trace id. The long-poll verbs
-/// (`wait_seq`, `repl_stream`) are excluded from slow-query logging:
-/// blocking is their contract.
+/// WARN log line carrying the request's trace id. A request bills to the
+/// verb or CQL command that ran; one that never parsed, or names no
+/// command, bills to `other`. The long-poll verbs (`wait_seq`,
+/// `repl_stream`) are excluded from slow-query logging: blocking is their
+/// contract.
 pub(crate) fn dispatch_line(
     session: &mut icdb_core::Session,
     line: &str,
 ) -> Result<Reply, (ErrCode, String)> {
     let trace_id = obs::next_trace_id();
-    let started = std::time::Instant::now();
-    let cmd_idx = command_index_of_line(line);
-    let result = dispatch_line_inner(session, line);
+    let started = Instant::now();
+    let (verb, rest) = match line.split_once(' ') {
+        Some((verb, rest)) => (verb, Some(rest)),
+        None => (line, None),
+    };
+    // A wire verb bills to its own row; a CQL line bills to `other` until
+    // its command parses.
+    let mut slot = obs::command_index(verb);
+    let result = match (verb, rest) {
+        ("attach", Some(target)) => attach_session(session, target),
+        ("hello", None) => hello_reply(session),
+        ("wait_seq", Some(rest)) => wait_seq_reply(session, rest),
+        ("repl_snapshot", None) => repl_snapshot_reply(session),
+        ("repl_stream", rest) => repl_stream_reply(session, rest.unwrap_or_default()),
+        _ => {
+            slot = obs::command_index("other");
+            answer(session, line, &mut slot)
+        }
+    };
     let elapsed = started.elapsed();
-    obs::REQUESTS[cmd_idx].inc();
-    obs::REQUEST_LATENCY_US[cmd_idx].record(elapsed.as_micros().try_into().unwrap_or(u64::MAX));
+    obs::REQUESTS[slot].inc();
+    obs::REQUEST_LATENCY_US[slot].record(elapsed.as_micros().try_into().unwrap_or(u64::MAX));
     if let Err((code, _)) = &result {
         obs::ERRORS[obs::error_index(code.as_str())].inc();
     }
-    let name = obs::COMMANDS[cmd_idx];
+    let name = obs::command_label(slot);
     let threshold = obs::slow_query_threshold_ms();
     let elapsed_ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
     if threshold > 0 && elapsed_ms >= threshold && name != "wait_seq" && name != "repl_stream" {
@@ -829,62 +691,6 @@ pub(crate) fn dispatch_line(
         );
     }
     result
-}
-
-/// The registry slot a request line bills to: wire verbs by their first
-/// word, CQL lines by their `command:` term — scanned on the cheap
-/// escaped prefix (command names never contain escapes) so the label
-/// costs a few string compares, not a parse.
-fn command_index_of_line(line: &str) -> usize {
-    let head = line.split('\t').next().unwrap_or_default();
-    for verb in [
-        "attach",
-        "hello",
-        "wait_seq",
-        "repl_snapshot",
-        "repl_stream",
-    ] {
-        if head == verb
-            || (head.len() > verb.len()
-                && head.starts_with(verb)
-                && head.as_bytes()[verb.len()] == b' ')
-        {
-            return obs::command_index(verb);
-        }
-    }
-    for term in head.split(';') {
-        if let Some((k, v)) = term.split_once(':') {
-            if k.trim() == "command" {
-                return obs::command_index(v.trim());
-            }
-        }
-    }
-    obs::command_index("other")
-}
-
-fn dispatch_line_inner(
-    session: &mut icdb_core::Session,
-    line: &str,
-) -> Result<Reply, (ErrCode, String)> {
-    if let Some(target) = line.strip_prefix("attach ") {
-        return attach_session(session, target);
-    }
-    if line == "hello" {
-        return hello_reply(session);
-    }
-    if let Some(rest) = line.strip_prefix("wait_seq ") {
-        return wait_seq_reply(session, rest);
-    }
-    if line == "repl_snapshot" {
-        return repl_snapshot_reply(session);
-    }
-    if line == "repl_stream" || line.starts_with("repl_stream ") {
-        return repl_stream_reply(
-            session,
-            line.strip_prefix("repl_stream").unwrap_or_default(),
-        );
-    }
-    answer(session, line)
 }
 
 /// `hello`: the versioned handshake. Replies `OK 3` + `d <protocol>` +
@@ -1049,8 +855,7 @@ pub(crate) fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 /// request line. `GET /metrics` (or `GET /`) answers 200 with the
 /// Prometheus text exposition of [`IcdbService::metrics_text`] — the
 /// exact sample list the `metrics` CQL command renders — anything else
-/// 404. Shared by the epoll-multiplexed path and the blocking fallback
-/// so the two serve paths cannot drift.
+/// 404.
 pub(crate) fn http_metrics_response(service: &IcdbService, request_line: &str) -> Vec<u8> {
     let mut words = request_line.split_whitespace();
     let method = words.next().unwrap_or_default();
@@ -1073,62 +878,6 @@ pub(crate) fn http_metrics_response(service: &IcdbService, request_line: &str) -
         body.len()
     )
     .into_bytes()
-}
-
-/// The metrics endpoint of the thread-per-connection fallback: one
-/// blocking acceptor, one request per connection, response + close.
-/// (On Linux the epoll loop serves the same listener without threads.)
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn serve_metrics_blocking(
-    listener: &TcpListener,
-    service: &Arc<IcdbService>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(mut stream) = stream else {
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        };
-        // Scrapers are trusted but bounded: a peer that never finishes
-        // its request head gets cut off by the read timeout.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(2_000)));
-        let Ok(clone) = stream.try_clone() else {
-            continue;
-        };
-        let mut reader = BufReader::new(clone);
-        let mut request_line = String::new();
-        if reader.read_line(&mut request_line).is_err() {
-            continue;
-        }
-        // Drain the header block so the peer never sees a reset with an
-        // unread request body in flight. The drain is bounded two ways —
-        // total head bytes (mirroring the epoll path's HTTP_MAX_HEAD)
-        // and an overall deadline — so a peer dripping one header line
-        // per read-timeout window cannot hold the single acceptor
-        // thread indefinitely.
-        const DRAIN_MAX_BYTES: usize = 8 * 1024;
-        let deadline = Instant::now() + Duration::from_millis(2_000);
-        let mut drained = request_line.len();
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() || drained > DRAIN_MAX_BYTES {
-                break;
-            }
-            let _ = stream.set_read_timeout(Some(remaining));
-            let mut header = String::new();
-            match reader.read_line(&mut header) {
-                Ok(0) => break,
-                Ok(_) if header == "\r\n" || header == "\n" => break,
-                Ok(n) => drained += n,
-                Err(_) => break,
-            }
-        }
-        let _ = stream.write_all(&http_metrics_response(service, request_line.trim_end()));
-        let _ = stream.flush();
-    }
 }
 
 // --------------------------------------------------------------- client
@@ -1540,10 +1289,9 @@ impl IcdbClient {
     /// commit sequence advanced past the last acked one) surfaces a
     /// distinct "acknowledgement was lost" error instead of re-sending.
     pub fn execute(&mut self, command: &str, args: &mut [CqlArg]) -> Result<(), IcdbError> {
-        let read_only = icdb_core::command_text_is_read_only(command);
-        if read_only
-            && self.read_preference == ReadPreference::PreferFollower
+        if self.read_preference == ReadPreference::PreferFollower
             && !self.follower_addrs.is_empty()
+            && read_only(command, args)
             && self.follower_read(command, args).is_ok()
         {
             return Ok(());
@@ -1568,7 +1316,7 @@ impl IcdbClient {
                 // next attempt reconnects again.
                 Err(_) => continue,
             };
-            if !read_only {
+            if !read_only(command, args) {
                 match server_seq {
                     // Unchanged sequence: the lost command provably never
                     // committed, so one re-send is safe.
@@ -1613,16 +1361,7 @@ impl IcdbClient {
         }
         let mut out_iter = outputs.iter();
         for arg in args.iter_mut() {
-            let is_output = matches!(
-                arg,
-                CqlArg::OutStr(_)
-                    | CqlArg::OutInt(_)
-                    | CqlArg::OutReal(_)
-                    | CqlArg::OutStrList(_)
-                    | CqlArg::OutIntList(_)
-                    | CqlArg::OutRealList(_)
-            );
-            if is_output {
+            if is_output(arg) {
                 let line = out_iter.next().ok_or_else(|| {
                     ExecFailure::Server(IcdbError::Cql(
                         "icdbd returned fewer outputs than ? slots".into(),
@@ -1697,17 +1436,7 @@ impl IcdbClient {
     /// # Errors
     /// Socket errors; a malformed response as [`IcdbError::Cql`].
     pub fn hello(&mut self) -> Result<HelloInfo, IcdbError> {
-        writeln!(self.writer, "hello").map_err(net_err)?;
-        self.writer.flush().map_err(net_err)?;
-        let head = self.read_line()?;
-        if let Some(rest) = head.strip_prefix("ERR ") {
-            return Err(decode_err(rest));
-        }
-        let (count, _) = parse_ok_head(&head)?;
-        let mut lines = Vec::with_capacity(count);
-        for _ in 0..count {
-            lines.push(self.read_line()?);
-        }
+        let lines = self.wire_verb("hello")?;
         let malformed = || IcdbError::Cql("malformed hello response".into());
         let num = |l: &String| l.strip_prefix("d ").and_then(|s| s.trim().parse().ok());
         Ok(HelloInfo {
@@ -1729,23 +1458,8 @@ impl IcdbClient {
     /// # Errors
     /// [`IcdbError::Cql`] on timeout; socket errors as usual.
     pub fn wait_seq(&mut self, seq: u64, timeout: Duration) -> Result<u64, IcdbError> {
-        writeln!(
-            self.writer,
-            "wait_seq {seq} {}",
-            u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX)
-        )
-        .map_err(net_err)?;
-        self.writer.flush().map_err(net_err)?;
-        let head = self.read_line()?;
-        if let Some(rest) = head.strip_prefix("ERR ") {
-            return Err(decode_err(rest));
-        }
-        let (count, _) = parse_ok_head(&head)?;
-        let mut lines = Vec::with_capacity(count);
-        for _ in 0..count {
-            lines.push(self.read_line()?);
-        }
-        lines
+        let timeout_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
+        self.wire_verb(&format!("wait_seq {seq} {timeout_ms}"))?
             .first()
             .and_then(|l| l.strip_prefix("d ").and_then(|s| s.trim().parse().ok()))
             .ok_or_else(|| IcdbError::Cql("malformed wait_seq response".into()))
@@ -1761,17 +1475,7 @@ impl IcdbClient {
     /// [`IcdbError::Cql`] when the namespace does not exist; socket errors
     /// as usual.
     pub fn attach(&mut self, ns: icdb_core::NsId) -> Result<(), IcdbError> {
-        writeln!(self.writer, "attach ns{}", ns.raw()).map_err(net_err)?;
-        self.writer.flush().map_err(net_err)?;
-        let head = self.read_line()?;
-        if let Some(rest) = head.strip_prefix("ERR ") {
-            return Err(decode_err(rest));
-        }
-        let (count, _) = parse_ok_head(&head)?;
-        let mut lines = Vec::with_capacity(count);
-        for _ in 0..count {
-            lines.push(self.read_line()?);
-        }
+        let lines = self.wire_verb(&format!("attach ns{}", ns.raw()))?;
         // The response's `d <seq>` line reports the namespace's commit
         // sequence — the reference point for ambiguous-commit detection.
         if let Some(seq) = lines
@@ -1810,6 +1514,19 @@ impl IcdbClient {
         self.writer.flush().map_err(net_err)
     }
 
+    /// Sends one wire-verb request line and returns the reply's output
+    /// lines (an `ERR` reply as its decoded error).
+    fn wire_verb(&mut self, line: &str) -> Result<Vec<String>, IcdbError> {
+        writeln!(self.writer, "{line}").map_err(net_err)?;
+        self.writer.flush().map_err(net_err)?;
+        let head = self.read_line()?;
+        if let Some(rest) = head.strip_prefix("ERR ") {
+            return Err(decode_err(rest));
+        }
+        let (count, _) = parse_ok_head(&head)?;
+        (0..count).map(|_| self.read_line()).collect()
+    }
+
     fn read_line(&mut self) -> Result<String, IcdbError> {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line).map_err(net_err)?;
@@ -1818,6 +1535,14 @@ impl IcdbClient {
         }
         Ok(line.trim_end_matches(['\r', '\n']).to_string())
     }
+}
+
+/// Whether a CQL command is read-only by its [`COMMANDS`] row — safe to
+/// re-send after a dropped connection and to route to a follower. Text
+/// that does not parse counts as mutating, so it is never re-sent blindly.
+fn read_only(command: &str, args: &[CqlArg]) -> bool {
+    parse_command(command, args)
+        .is_ok_and(|(cmd, _)| command_spec(&cmd.name).is_some_and(CommandSpec::read_only))
 }
 
 fn net_err(e: io::Error) -> IcdbError {
@@ -2015,75 +1740,5 @@ mod tests {
         assert!((1..12u32).any(|a| other.backoff(a) != policy.backoff(a)));
         // The no-retry policy degenerates to zero delays.
         assert_eq!(RetryPolicy::none().backoff(3), Duration::ZERO);
-    }
-
-    #[test]
-    fn bounded_line_reader_rejects_oversized_lines() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(b"short line\n").unwrap();
-            s.write_all(&vec![b'x'; 4096]).unwrap();
-            s.write_all(b"\n").unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream);
-        assert_eq!(
-            read_bounded_line(&mut reader, 1024).unwrap(),
-            Some("short line".to_string())
-        );
-        let err = read_bounded_line(&mut reader, 1024).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        writer.join().unwrap();
-    }
-
-    /// Drives the thread-per-connection fallback end-to-end on every
-    /// platform: greeting, a mutating command acked with `commit:<seq>`,
-    /// a read that leaves the sequence untouched, clean shutdown.
-    #[test]
-    fn threaded_fallback_serves_with_commit_seq_acks() {
-        let service = Arc::new(IcdbService::new());
-        let server = Server::bind("127.0.0.1:0", service, 4).unwrap();
-        let addr = server.local_addr().unwrap();
-        let shutdown = Arc::clone(&server.shutdown);
-        let join = std::thread::spawn(move || server.serve_threaded());
-
-        let mut client = IcdbClient::connect(addr).unwrap();
-        assert!(client.session_ns().is_some());
-        assert_eq!(client.last_commit_seq(), 0);
-        let mut args = vec![CqlArg::OutStr(None)];
-        client
-            .execute(
-                "command:request_component; implementation:ADDER; attribute:(size:4); \
-                 generated_component:?s",
-                &mut args,
-            )
-            .unwrap();
-        let name = match &args[0] {
-            CqlArg::OutStr(Some(name)) => name.clone(),
-            other => panic!("expected generated component, got {other:?}"),
-        };
-        let seq = client.last_commit_seq();
-        assert!(seq >= 1, "mutating ack must advance the commit seq");
-
-        let mut read_args = vec![CqlArg::InStr(name), CqlArg::OutStr(None)];
-        client
-            .execute(
-                "command:instance_query; generated_component:%s; delay:?s",
-                &mut read_args,
-            )
-            .unwrap();
-        assert!(matches!(&read_args[1], CqlArg::OutStr(Some(d)) if !d.is_empty()));
-        assert_eq!(
-            client.last_commit_seq(),
-            seq,
-            "read-only acks must not move the commit seq"
-        );
-
-        let _ = client.quit();
-        shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(addr); // unblock the accept loop
-        join.join().unwrap().unwrap();
     }
 }

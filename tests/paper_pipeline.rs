@@ -471,3 +471,19 @@ fn register_file_writes_and_reads_all_words() {
     sim.propagate();
     assert_eq!(sim.bus("Q", 4).unwrap(), (0x9 ^ 3) & 0xF, "WE low holds");
 }
+
+/// A shape estimate depends only on the netlist: 64 fresh servers
+/// generating the same comparator must all answer the same shape
+/// function, or crash recovery could re-derive a different shape than the
+/// one first answered.
+#[test]
+fn shape_estimates_are_identical_across_fresh_servers() {
+    let shapes: std::collections::BTreeSet<String> = (0..64)
+        .map(|_| {
+            let mut icdb = Icdb::new();
+            let name = generate(&mut icdb, "COMPARATOR", &[("size", "3")]);
+            icdb.shape_string(&name).unwrap()
+        })
+        .collect();
+    assert_eq!(shapes.len(), 1, "distinct shape functions: {shapes:#?}");
+}
