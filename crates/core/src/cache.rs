@@ -106,10 +106,9 @@ impl GenerationPayload {
 
 /// Bit-exact, hashable stand-in for an `f64` constraint value.
 ///
-/// Canonicalized so the corpus similarity distance is deterministic:
-/// every NaN payload collapses to the single quiet-NaN pattern, and
-/// `-0.0` collapses to `+0.0` (they compare equal as constraints, so
-/// they must key — and order — identically).
+/// Canonicalized for key identity: every NaN payload collapses to the
+/// single quiet-NaN pattern, and `-0.0` collapses to `+0.0` (they compare
+/// equal as constraints, so they must key — and serialize — identically).
 fn bits(v: f64) -> u64 {
     if v.is_nan() {
         return f64::NAN.to_bits();
@@ -123,7 +122,7 @@ fn bits(v: f64) -> u64 {
 /// What the request generates *from*, after resolution: the canonical
 /// implementation name for library requests, or the full inline IIF text.
 /// VHDL clusters are never cached (they depend on live instance state).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SourceKey {
     /// A resolved generic-library implementation, by exact stored name.
     Implementation(String),
@@ -131,25 +130,13 @@ pub enum SourceKey {
     Iif(String),
 }
 
-/// Key of the flat-module layer: module source + sorted parameter binding.
+/// Key of the flat-module layer: module source + sorted parameter binding
+/// (built by [`RequestKey::flat_key`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FlatKey {
     source: SourceKey,
     params: Vec<(String, i64)>,
     library_version: u64,
-}
-
-impl FlatKey {
-    /// Builds a flat key; `params` are sorted into canonical order.
-    pub fn new(source: SourceKey, params: &[(String, i64)], library_version: u64) -> FlatKey {
-        let mut params = params.to_vec();
-        params.sort();
-        FlatKey {
-            source,
-            params,
-            library_version,
-        }
-    }
 }
 
 /// Fingerprint of the [`SynthOptions`] that shaped a cached netlist.
@@ -200,7 +187,7 @@ impl NetKey {
 /// them affect the cached payload; they are applied per instance after it
 /// is installed (so a logic-level request warms the later layout-level
 /// one).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RequestKey {
     source: SourceKey,
     params: Vec<(String, i64)>,
@@ -267,45 +254,12 @@ impl RequestKey {
         }
     }
 
-    /// Resolved implementation name, when the source is a library
-    /// implementation (inline-IIF sources have none).
-    pub fn implementation(&self) -> Option<&str> {
-        match &self.source {
-            SourceKey::Implementation(name) => Some(name),
-            SourceKey::Iif(_) => None,
-        }
-    }
-
-    /// Canonically sorted bound parameters.
-    pub fn params(&self) -> &[(String, i64)] {
-        &self.params
-    }
-
     /// Value of the width-like `size` parameter, if bound.
     pub fn width(&self) -> Option<i64> {
         self.params
             .iter()
             .find(|(name, _)| name == "size")
             .map(|(_, v)| *v)
-    }
-
-    /// Whether the request resolved to fastest-sizing strategy.
-    pub fn is_fastest(&self) -> bool {
-        self.fastest
-    }
-
-    /// Whether any explicit timing/load constraint is part of the key.
-    pub fn has_constraints(&self) -> bool {
-        self.clock_width.is_some()
-            || self.comb_delay.is_some()
-            || self.set_up_time.is_some()
-            || !self.rdelay.is_empty()
-            || !self.oload.is_empty()
-    }
-
-    /// (knowledge-base version, cell-library version) the key binds to.
-    pub fn versions(&self) -> (u64, u64) {
-        (self.library_version, self.cells_version)
     }
 }
 
@@ -658,32 +612,6 @@ mod tests {
         let nan_a = ComponentRequest::by_component("counter").clock_width(f64::NAN);
         let nan_b = ComponentRequest::by_component("counter").clock_width(-f64::NAN);
         assert_eq!(key(&nan_a), key(&nan_b), "all NaNs must share a key");
-    }
-
-    #[test]
-    fn request_key_ordering_is_total_and_deterministic() {
-        // The corpus stores keys in serialized-byte order; `Ord` on the key
-        // itself must agree with itself run-to-run and sort width-adjacent
-        // requests of one implementation next to each other.
-        let req = ComponentRequest::by_component("counter");
-        let src = || SourceKey::Implementation("COUNTER".into());
-        let key_at = |w: i64| RequestKey::new(src(), &[("size".to_string(), w)], &req, 0, 0);
-        let mut keys = vec![key_at(5), key_at(3), key_at(4), key_at(3)];
-        keys.sort();
-        let widths: Vec<Option<i64>> = keys.iter().map(|k| k.width()).collect();
-        assert_eq!(widths, vec![Some(3), Some(3), Some(4), Some(5)]);
-        // Sorting is stable across repeated runs: sorting again is a no-op.
-        let again = {
-            let mut k = keys.clone();
-            k.sort();
-            k
-        };
-        assert_eq!(keys, again);
-        // Accessors expose the canonical fields the similarity layer uses.
-        assert_eq!(keys[0].implementation(), Some("COUNTER"));
-        assert!(!keys[0].is_fastest());
-        assert!(!keys[0].has_constraints());
-        assert_eq!(keys[0].versions(), (0, 0));
     }
 
     #[test]

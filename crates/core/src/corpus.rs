@@ -1,44 +1,40 @@
-//! The core-side exploration corpus: durable store + similarity layer +
-//! the journaled flush path.
+//! The core-side exploration corpus: durable store, pending queue, the
+//! journaled flush path, and the similarity ranking behind `corpus near:`.
 //!
 //! Architecture (mirrors the generation cache's position in the system):
 //!
 //! * [`CorpusState`] wraps the serde-round-trippable
 //!   [`icdb_store::corpus::CorpusStore`] behind a mutex, plus a *pending*
-//!   queue and lifetime counters. It hangs off [`Icdb`] as an `Arc`, and
-//!   the service's epoch snapshots (`Icdb::read_snapshot`) share the same
-//!   `Arc` — so lock-free epoch sweeps read the live corpus and queue
-//!   newly evaluated points into the shared pending list.
+//!   queue (one mutex over the queued points and their keys) and lifetime
+//!   counters. It hangs off [`Icdb`] as an `Arc`, and the service's epoch
+//!   snapshots (`Icdb::read_snapshot`) share the same `Arc` — so lock-free
+//!   epoch sweeps read the live corpus and queue newly evaluated points
+//!   into the shared pending list.
 //! * Durability goes through the one mutation choke point: draining the
 //!   pending queue emits a single `MutationEvent::RecordCorpus`, which the
 //!   apply path folds into the store. SIGKILL recovery and WAL-shipping
 //!   replication therefore reconstruct the corpus for free, and a primary
 //!   and its followers answer `corpus` queries byte-identically.
-//! * The similarity layer is a small, deterministic distance over
-//!   canonicalized request keys: same implementation required, adjacent
-//!   widths near, strategy and constraint mismatches penalized, and
+//! * The similarity layer serves only the `corpus near:` query: a small,
+//!   deterministic distance over stored points — same implementation
+//!   required, adjacent widths near, a strategy mismatch penalized, and
 //!   knowledge-base / cell-library version mismatches *advisory* (a
-//!   penalty, never a filter — but also never grounds for exact reuse).
+//!   penalty, never a filter). Sweeps never reuse a point by similarity.
 //!
-//! Exactness invariant: the corpus is keyed by the **serialized canonical
-//! [`RequestKey`]**, which embeds both library versions. A byte-equal key
-//! therefore proves the stored point was produced from identical inputs,
-//! which is what lets pruned sweeps reconstruct a byte-identical
-//! `ExplorationReport` (see `explore.rs`).
+//! Exactness invariant: the corpus owns its key format — the **serialized
+//! canonical [`RequestKey`]**, which embeds both library versions. A
+//! byte-equal key therefore proves the stored point was produced from
+//! identical inputs, which is what lets a sweep reconstruct a
+//! byte-identical `ExplorationReport` (see `explore.rs`).
 
-use crate::cache::RequestKey;
+use crate::cache::{lock, RequestKey};
 use crate::error::IcdbError;
 use crate::events::MutationEvent;
-use crate::space::NsId;
-use crate::spec::ComponentRequest;
 use crate::Icdb;
 pub use icdb_store::corpus::{CorpusPoint, CorpusStore};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// How many of the most recent version-fresh corpus points a restarted
-/// server replays to warm the generation cache ([`Icdb::open`]).
-pub const WARM_START_POINTS: usize = 16;
 
 /// Lifetime counters of the corpus, plus its resident size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -49,8 +45,7 @@ pub struct CorpusStats {
     pub hits: u64,
     /// Exact-key lookups that fell through.
     pub misses: u64,
-    /// Sweep grid points whose evaluation was skipped thanks to the
-    /// corpus (exact reuse or predicted-dominated).
+    /// Sweep grid points answered from the corpus instead of evaluated.
     pub pruned: u64,
 }
 
@@ -60,14 +55,19 @@ pub struct CorpusStats {
 #[derive(Debug, Default)]
 pub struct CorpusState {
     store: Mutex<CorpusStore>,
-    pending: Mutex<Vec<(Vec<u8>, CorpusPoint)>>,
-    /// Canonical keys already sitting in `pending` — checked *before*
-    /// serializing a key or building a `CorpusPoint`, so repeated warm
-    /// sweeps on a never-flushed server stay cheap.
-    queued: Mutex<std::collections::HashSet<RequestKey>>,
+    pending: Mutex<Pending>,
     hits: AtomicU64,
     misses: AtomicU64,
     pruned: AtomicU64,
+}
+
+/// Fresh evaluations awaiting a journaled flush, in first-queued order,
+/// with the set of their keys — one lock, so checking and queueing a key
+/// is one step.
+#[derive(Debug, Default)]
+struct Pending {
+    points: Vec<(Vec<u8>, CorpusPoint)>,
+    keys: HashSet<RequestKey>,
 }
 
 impl CorpusState {
@@ -77,113 +77,88 @@ impl CorpusState {
     pub(crate) fn deep_clone(&self) -> CorpusState {
         CorpusState {
             store: Mutex::new(self.export()),
-            pending: Mutex::new(Vec::new()),
-            queued: Mutex::new(std::collections::HashSet::new()),
+            pending: Mutex::default(),
             hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
             misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
             pruned: AtomicU64::new(self.pruned.load(Ordering::Relaxed)),
         }
     }
 
-    /// Whether the durable store holds no points (one lock per sweep, not
-    /// per grid point — the sweep uses this to skip per-point lookups).
-    pub(crate) fn is_store_empty(&self) -> bool {
-        crate::cache::lock(&self.store).is_empty()
-    }
-
     /// Clone of the durable store (snapshot capture, `corpus` queries).
     pub(crate) fn export(&self) -> CorpusStore {
-        crate::cache::lock(&self.store).clone()
+        lock(&self.store).clone()
     }
 
     /// Replaces the durable store wholesale (snapshot restore).
     pub(crate) fn import(&self, store: CorpusStore) {
-        *crate::cache::lock(&self.store) = store;
+        *lock(&self.store) = store;
     }
 
     /// Exact-key lookup, counting a hit or miss. A hit is automatically
-    /// version-exact because the key bytes embed both library versions.
-    pub(crate) fn lookup(&self, key: &[u8]) -> Option<CorpusPoint> {
-        let found = crate::cache::lock(&self.store).get(key).cloned();
-        match found {
-            Some(p) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(p)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// version-exact because the key embeds both library versions. The
+    /// key is serialized only when the store holds points to compare it
+    /// with.
+    pub(crate) fn lookup(&self, key: &RequestKey) -> Option<CorpusPoint> {
+        let store = lock(&self.store);
+        let found = if store.is_empty() {
+            None
+        } else {
+            store.get(&serde::to_bytes(key)).cloned()
+        };
+        drop(store);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// Whether `rkey`'s point is already awaiting a flush. Callers check
-    /// this before paying for key serialization and `CorpusPoint`
-    /// construction — the reason this is keyed by the unserialized
-    /// [`RequestKey`] (which embeds both library versions, so a version
-    /// bump naturally invalidates the check).
-    pub(crate) fn already_queued(&self, rkey: &RequestKey) -> bool {
-        crate::cache::lock(&self.queued).contains(rkey)
-    }
-
-    /// Queues a freshly evaluated point for the next journaled flush.
-    /// Bounded: direct-API callers that sweep without ever flushing must
-    /// not grow the queue forever — excess points are dropped (they are
-    /// re-derivable by any later sweep).
-    pub(crate) fn queue(&self, rkey: RequestKey, key: Vec<u8>, point: CorpusPoint) {
+    /// Queues a freshly evaluated point for the next journaled flush unless
+    /// its key is already queued (equal keys carry equal points); returns
+    /// whether it queued. Only a new key is serialized and its `point`
+    /// built. Bounded: excess points of a never-flushed server are dropped
+    /// (any later sweep re-derives them).
+    pub(crate) fn queue(&self, key: &RequestKey, point: impl FnOnce() -> CorpusPoint) -> bool {
         const PENDING_CAP: usize = 65_536;
-        let mut pending = crate::cache::lock(&self.pending);
-        if pending.len() >= PENDING_CAP {
-            return;
+        let mut pending = lock(&self.pending);
+        if pending.points.len() >= PENDING_CAP || pending.keys.contains(key) {
+            return false;
         }
-        crate::cache::lock(&self.queued).insert(rkey);
-        pending.push((key, point));
+        let entry = (serde::to_bytes(key), point());
+        pending.keys.insert(key.clone());
+        pending.points.push(entry);
+        true
     }
 
     /// Whether any evaluated points await a journaled flush.
     pub(crate) fn has_pending(&self) -> bool {
-        !crate::cache::lock(&self.pending).is_empty()
+        !lock(&self.pending).points.is_empty()
     }
 
-    /// Drains the pending queue, deduplicating by key (last evaluation
-    /// wins) while preserving first-seen order.
+    /// Drains the pending queue in first-queued order.
     pub(crate) fn take_pending(&self) -> Vec<(Vec<u8>, CorpusPoint)> {
-        let drained = std::mem::take(&mut *crate::cache::lock(&self.pending));
-        crate::cache::lock(&self.queued).clear();
-        let mut points: Vec<(Vec<u8>, CorpusPoint)> = Vec::with_capacity(drained.len());
-        for (key, point) in drained {
-            match points.iter_mut().find(|(k, _)| *k == key) {
-                Some(slot) => slot.1 = point,
-                None => points.push((key, point)),
-            }
-        }
-        points
+        std::mem::take(&mut *lock(&self.pending)).points
     }
 
     /// Drops the pending queue. Followers and degraded primaries cannot
     /// journal corpus rows; discarding bounds their memory (the rows are
     /// re-derivable by any later sweep on a healthy primary).
     pub(crate) fn discard_pending(&self) {
-        crate::cache::lock(&self.pending).clear();
-        crate::cache::lock(&self.queued).clear();
+        self.take_pending();
     }
 
-    /// Counts grid points a sweep skipped thanks to the corpus.
+    /// Counts grid points a sweep answered from the corpus.
     pub(crate) fn note_pruned(&self, n: u64) {
         self.pruned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts lookups answered "miss" without touching the store — the
-    /// sweep's fast path when the store is known empty.
-    pub(crate) fn note_misses(&self, n: u64) {
-        self.misses.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The apply-side of `MutationEvent::RecordCorpus`: folds journaled
     /// points into the durable store in event order (deterministic
     /// sequence numbers under replay and replication).
     pub(crate) fn apply_record(&self, points: &[(Vec<u8>, CorpusPoint)]) {
-        let mut store = crate::cache::lock(&self.store);
+        let mut store = lock(&self.store);
         for (key, point) in points {
             store.record(key.clone(), point.clone());
         }
@@ -192,7 +167,7 @@ impl CorpusState {
     /// Resident size + lifetime counters.
     pub(crate) fn stats(&self) -> CorpusStats {
         CorpusStats {
-            entries: crate::cache::lock(&self.store).len(),
+            entries: lock(&self.store).len(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             pruned: self.pruned.load(Ordering::Relaxed),
@@ -203,7 +178,7 @@ impl CorpusState {
     /// similarity distance; ties broken by recency (newest first) so the
     /// ranking is total and deterministic.
     pub(crate) fn neighbors(&self, probe: &Probe, k: usize) -> Vec<(f64, CorpusPoint)> {
-        let store = crate::cache::lock(&self.store);
+        let store = lock(&self.store);
         let mut near: Vec<(f64, CorpusPoint)> = store
             .iter()
             .filter_map(|(_, p)| point_distance(p, probe).map(|d| (d, p.clone())))
@@ -216,47 +191,26 @@ impl CorpusState {
 
 // ----------------------------------------------------------- similarity
 
-/// What a similarity probe asks for, extracted from a canonical
-/// [`RequestKey`] (or described directly by a `corpus near:` query).
+/// What a `corpus near:` query asks for.
 #[derive(Debug, Clone)]
 pub(crate) struct Probe {
-    /// Resolved implementation name (similarity never crosses
-    /// implementations).
+    /// Implementation name (similarity never crosses implementations).
     pub implementation: String,
-    /// Width-like `size` parameter, when bound.
+    /// Width-like `size` parameter, when given.
     pub width: Option<i64>,
     /// Fastest-sizing strategy?
     pub fastest: bool,
-    /// Any explicit timing/load constraint present?
-    pub constrained: bool,
     /// Knowledge-base version the probe resolves against.
     pub library_version: u64,
     /// Cell-library version the probe resolves against.
     pub cells_version: u64,
 }
 
-impl Probe {
-    /// Extracts a probe from a canonical key. `None` for inline-IIF keys
-    /// (the corpus only stores library-implementation points).
-    pub(crate) fn from_key(key: &RequestKey) -> Option<Probe> {
-        let implementation = key.implementation()?.to_string();
-        let (library_version, cells_version) = key.versions();
-        Some(Probe {
-            implementation,
-            width: key.width(),
-            fastest: key.is_fastest(),
-            constrained: key.has_constraints(),
-            library_version,
-            cells_version,
-        })
-    }
-}
-
 /// Advisory similarity distance between a stored point and a probe.
-/// `None` when the point can never stand in for the probe (different
-/// implementation). Smaller is closer; the exact-match case is distance 0
-/// only when strategy, constraints and versions all line up — but version
-/// mismatches only *add distance*, they never filter a neighbor out.
+/// `None` when the point belongs to a different implementation. Smaller
+/// is closer; the exact-match case is distance 0 only when strategy and
+/// versions line up — but version mismatches only *add distance*, they
+/// never filter a neighbor out.
 pub(crate) fn point_distance(point: &CorpusPoint, probe: &Probe) -> Option<f64> {
     if point.implementation != probe.implementation {
         return None;
@@ -271,34 +225,12 @@ pub(crate) fn point_distance(point: &CorpusPoint, probe: &Probe) -> Option<f64> 
     if (point.strategy == "fastest") != probe.fastest {
         d += 0.5;
     }
-    if probe.constrained {
-        // Sweeps record spec-level (unconstrained) points; a constrained
-        // probe is asking for something subtly different.
-        d += 0.75;
-    }
     if point.library_version != probe.library_version || point.cells_version != probe.cells_version
     {
         // Advisory: stale-version knowledge still ranks, just farther.
         d += 0.25;
     }
     Some(d)
-}
-
-/// Predicted (area, delay, power) for a neighbor reused at `width`.
-/// Area and power scale ~linearly with datapath width; delay grows
-/// sub-linearly (carry/selection logic deepens slower than it widens).
-/// Heuristic by design — only ever used for *margin* pruning, never for
-/// the exactness mode.
-pub(crate) fn predict(point: &CorpusPoint, width: Option<i64>) -> [f64; 3] {
-    let ratio = match (point.width, width) {
-        (w0, Some(w1)) if w0 > 0 && w1 > 0 => w1 as f64 / w0 as f64,
-        _ => 1.0,
-    };
-    [
-        point.area * ratio,
-        point.delay * (1.0 + (ratio - 1.0) * 0.5),
-        point.power * ratio,
-    ]
 }
 
 // ------------------------------------------------------------ icdb api
@@ -332,38 +264,6 @@ impl Icdb {
         self.commit(&MutationEvent::RecordCorpus { points })?;
         Ok(n)
     }
-
-    /// Re-seeds the generation cache's result layer from the corpus: the
-    /// most recently recorded points whose knowledge-base / cell-library
-    /// versions match the live libraries have their original requests
-    /// replayed through the (cache-filling) prepare path. Called on
-    /// [`Icdb::open`] so a restarted daemon answers its first repeat
-    /// requests — and its first repeat sweep — warm. Returns how many
-    /// points were warmed; decode or generation failures skip the point.
-    pub(crate) fn warm_start_from_corpus(&self, limit: usize) -> usize {
-        let lib_version = self.library.version();
-        let cells_version = self.cells.version();
-        let requests: Vec<Vec<u8>> = {
-            let store = self.corpus.export();
-            store
-                .recent(usize::MAX)
-                .into_iter()
-                .filter(|p| p.library_version == lib_version && p.cells_version == cells_version)
-                .take(limit)
-                .map(|p| p.request.clone())
-                .collect()
-        };
-        let mut warmed = 0;
-        for bytes in requests {
-            let Ok(request) = serde::from_bytes::<ComponentRequest>(&bytes) else {
-                continue;
-            };
-            if self.prepare_payload(NsId::ROOT, &request).is_ok() {
-                warmed += 1;
-            }
-        }
-        warmed
-    }
 }
 
 #[cfg(test)]
@@ -393,7 +293,6 @@ mod tests {
             implementation: imp.to_string(),
             width: Some(width),
             fastest: false,
-            constrained: false,
             library_version: 1,
             cells_version: 1,
         }
@@ -446,46 +345,32 @@ mod tests {
         RequestKey::new(
             crate::cache::SourceKey::Implementation("COUNTER".to_string()),
             &[("size".to_string(), width)],
-            &ComponentRequest::by_implementation("COUNTER"),
+            &crate::spec::ComponentRequest::by_implementation("COUNTER"),
             1,
             1,
         )
     }
 
     #[test]
-    fn pending_queue_dedupes_last_wins_and_discards() {
+    fn pending_queue_keeps_first_queued_and_discards() {
         let state = CorpusState::default();
-        let mut a = stored("COUNTER", 4, "cheapest", (1, 1));
-        assert!(!state.already_queued(&rkey(4)));
-        state.queue(rkey(4), vec![9], a.clone());
-        assert!(state.already_queued(&rkey(4)));
-        assert!(!state.already_queued(&rkey(3)));
-        a.area = 42.0;
-        state.queue(rkey(4), vec![9], a);
-        state.queue(rkey(3), vec![8], stored("COUNTER", 3, "cheapest", (1, 1)));
-        assert!(state.has_pending());
-        let drained = state.take_pending();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].0, vec![9]);
-        assert_eq!(drained[0].1.area, 42.0, "last evaluation wins");
+        let point = |width| stored("COUNTER", width, "cheapest", (1, 1));
+        assert!(state.queue(&rkey(4), || point(4)));
+        assert!(!state.queue(&rkey(4), || panic!("a queued key builds no point")));
+        assert!(state.queue(&rkey(3), || point(3)));
+        let expected = [(rkey(4), point(4)), (rkey(3), point(3))]
+            .map(|(key, point)| (serde::to_bytes(&key), point));
+        assert_eq!(state.take_pending(), expected, "first-queued order");
         assert!(!state.has_pending());
         assert!(
-            !state.already_queued(&rkey(4)),
-            "draining clears the queued-key set"
+            state.queue(&rkey(4), || point(4)),
+            "draining clears the keys"
         );
-        state.queue(rkey(2), vec![7], stored("COUNTER", 2, "cheapest", (1, 1)));
         state.discard_pending();
         assert!(!state.has_pending());
-        assert!(!state.already_queued(&rkey(2)));
-    }
-
-    #[test]
-    fn prediction_scales_with_width() {
-        let p = stored("COUNTER", 4, "cheapest", (1, 1));
-        let [area, delay, power] = predict(&p, Some(8));
-        assert_eq!(area, p.area * 2.0);
-        assert_eq!(power, p.power * 2.0);
-        assert!(delay > p.delay && delay < p.delay * 2.0);
-        assert_eq!(predict(&p, None), [p.area, p.delay, p.power]);
+        assert!(
+            state.queue(&rkey(4), || point(4)),
+            "discarding clears the keys"
+        );
     }
 }

@@ -671,13 +671,11 @@ impl Icdb {
         };
         // Same loud-error rule for the `publish:` routing flag (a value
         // that is not an integer must not silently mean "don't publish")
-        // and the corpus-pruning dials: `prune:0` is the escape hatch that
-        // guarantees every grid point is evaluated, `prune_exact:0` opts
-        // into heuristic margin pruning — a typo must not silently flip
-        // either.
+        // and the corpus-reuse dial: `prune:0` is the escape hatch that
+        // guarantees every grid point is evaluated — a typo must not
+        // silently flip it.
         flag(cmd, "publish", false)?;
         let prune = flag(cmd, "prune", true)?;
-        let prune_exact = flag(cmd, "prune_exact", true)?;
         if cmd.has("weights") && cmd.attrs_term("weights").is_none() {
             return Err(IcdbError::Cql(
                 "explore weights must be an attribute list like (area:1,delay:2,power:0)"
@@ -757,7 +755,6 @@ impl Icdb {
                 .map(|w| w.max(0) as usize)
                 .unwrap_or(default_workers),
             prune,
-            prune_exact,
         };
 
         let (report, stats) = self.explore_in_with_stats(ns, &spec)?;
@@ -906,7 +903,6 @@ impl Icdb {
                         implementation,
                         width,
                         fastest: strategy.as_deref() == Some("fastest"),
-                        constrained: false,
                         library_version: self.library.version(),
                         cells_version: self.cells.version(),
                     };

@@ -2,11 +2,12 @@
 //! space and drives `icdb-explore`'s Pareto selection over it.
 //!
 //! [`Icdb::explore`] resolves candidate implementations (by explicit
-//! names, component type, or required functions), crosses them with the
-//! requested bit-widths and sizing strategies, and fans one
-//! `Icdb::prepare_payload` evaluation per grid point across scoped
-//! worker threads — through the generation cache, so a warm re-exploration
-//! is nearly free. Estimated `(area, delay, power)` metrics feed an
+//! names, component type, or required functions) and crosses them with
+//! the requested bit-widths and sizing strategies. Each grid point is
+//! resolved once and looked up once in the durable exploration corpus by
+//! its canonical key; the misses are answered from the generation cache's
+//! result layer or run through the pipeline on scoped worker threads, and
+//! queued for the corpus. Estimated `(area, delay, power)` metrics feed an
 //! [`icdb_explore::Explorer`], which computes the exact Pareto front and
 //! selects a winner under the sweep's [`Objective`].
 //!
@@ -15,15 +16,15 @@
 //! its *shared* lock. [`Icdb::publish_exploration`] additionally mirrors a
 //! report into the relational `exploration` table (like `cache_stats`).
 
-use crate::cache::RequestKey;
-use crate::corpus::{predict, Probe};
 use crate::error::IcdbError;
+use crate::server::{fan_out, Resolved};
 use crate::space::NsId;
 use crate::spec::ComponentRequest;
 use crate::Icdb;
 use icdb_explore::{DesignPoint, ExplorationReport, Explorer, Objective};
 use icdb_store::corpus::CorpusPoint;
 use icdb_store::Value;
+use std::sync::Arc;
 
 /// The grid attribute swept by [`ExploreSpec::widths`].
 const WIDTH_ATTR: &str = "size";
@@ -58,21 +59,16 @@ pub struct ExploreSpec {
     /// `1..=grid size` (0 means sequential, like
     /// [`Icdb::request_components_batch`]).
     pub workers: usize,
-    /// Whether the sweep may use the durable exploration corpus to skip
-    /// grid-point evaluations (the `prune:0` escape hatch turns this
-    /// off; points are then always evaluated, though corpus lookups and
-    /// recording still happen).
+    /// Whether the sweep may answer grid points from the durable
+    /// exploration corpus instead of evaluating them. Exact: a point is
+    /// reused only when its serialized canonical request key matches a
+    /// stored one byte for byte, and that key — which embeds the
+    /// knowledge-base and cell-library versions — determines the whole
+    /// generation pipeline, so the reused point equals a fresh
+    /// evaluation. The `prune:0` escape hatch turns reuse off: every
+    /// point is then evaluated, though corpus lookups and recording
+    /// still happen.
     pub prune: bool,
-    /// Exactness mode (the default): only reuse corpus points whose
-    /// serialized request key matches byte-for-byte — which embeds the
-    /// knowledge-base and cell-library versions, so the reconstructed
-    /// point is provably identical to a fresh evaluation. When `false`,
-    /// the sweep additionally drops grid points whose *predicted*
-    /// metrics (from near-neighbor corpus points) are dominated with
-    /// margin by the corpus-seeded front — faster, but the report may
-    /// omit dominated points (they are counted as pruned, never
-    /// silently lost).
-    pub prune_exact: bool,
 }
 
 impl Default for ExploreSpec {
@@ -87,7 +83,6 @@ impl Default for ExploreSpec {
             objective: Objective::default(),
             workers: 4,
             prune: true,
-            prune_exact: true,
         }
     }
 }
@@ -144,14 +139,6 @@ impl ExploreSpec {
         self.prune = prune;
         self
     }
-
-    /// Selects between exactness mode (`true`, the default: byte-identical
-    /// reuse only) and margin mode (`false`: predicted-dominated points
-    /// are skipped entirely).
-    pub fn prune_exact(mut self, exact: bool) -> Self {
-        self.prune_exact = exact;
-        self
-    }
 }
 
 /// Out-of-band accounting of one sweep — kept separate from
@@ -164,8 +151,8 @@ pub struct SweepStats {
     /// Points actually run through the generation pipeline (cache-warm
     /// or cold).
     pub evaluated: usize,
-    /// Points the corpus saved from evaluation: reconstructed from an
-    /// exact-key match, or (margin mode) skipped as predicted-dominated.
+    /// Points the corpus saved from evaluation (reconstructed from an
+    /// exact-key match).
     pub pruned: usize,
     /// Exact-key corpus lookups that hit.
     pub corpus_hits: usize,
@@ -182,16 +169,18 @@ impl Icdb {
     /// objective. Read-only — no instance is installed.
     ///
     /// # Errors
-    /// Fails when no candidate matches the spec, and propagates the first
-    /// generation failure of the grid.
+    /// Fails when no candidate matches the spec, and propagates the error
+    /// of the first failing grid point in grid order.
     pub fn explore(&self, spec: &ExploreSpec) -> Result<ExplorationReport, IcdbError> {
         self.explore_in(NsId::ROOT, spec)
     }
 
-    /// [`Icdb::explore`] against an explicit session namespace.
+    /// [`Icdb::explore`] against an explicit session namespace. Library
+    /// grids resolve against the shared knowledge base, so no namespace
+    /// changes the report.
     ///
     /// # Errors
-    /// As [`Icdb::explore`]; also fails on unknown namespaces.
+    /// As [`Icdb::explore`].
     pub fn explore_in(&self, ns: NsId, spec: &ExploreSpec) -> Result<ExplorationReport, IcdbError> {
         Ok(self.explore_in_with_stats(ns, spec)?.0)
     }
@@ -208,147 +197,76 @@ impl Icdb {
         self.explore_in_with_stats(NsId::ROOT, spec)
     }
 
-    /// The full sweep: exact-corpus reuse, optional margin pruning, batch
-    /// evaluation of whatever remains, and recording of fresh evaluations
-    /// into the corpus's pending queue (journaled later by
-    /// [`Icdb::flush_corpus`]).
+    /// The full sweep: look up, evaluate the misses, record. Each grid
+    /// point is resolved once and looked up once in the corpus by its
+    /// canonical key; the points the corpus cannot answer (every point
+    /// under `prune:0`) are evaluated through the generation cache's result
+    /// layer; fresh evaluations are queued for the next journaled flush
+    /// ([`Icdb::flush_corpus`]).
     ///
-    /// In exactness mode (the default) the returned report is provably
-    /// equal to an unpruned sweep's: a point is only reconstructed from
-    /// the corpus when its serialized canonical key — which embeds the
-    /// knowledge-base and cell-library versions — matches byte-for-byte,
-    /// and that key determines the whole generation pipeline.
+    /// The report equals an unpruned sweep's (see [`ExploreSpec::prune`]).
     ///
     /// # Errors
-    /// As [`Icdb::explore`].
+    /// As [`Icdb::explore`], whether the first failing grid point fails at
+    /// resolution or at generation.
     pub fn explore_in_with_stats(
         &self,
-        ns: NsId,
+        _ns: NsId,
         spec: &ExploreSpec,
     ) -> Result<(ExplorationReport, SweepStats), IcdbError> {
-        /// Margin a corpus-seeded front point must beat a *predicted*
-        /// point by before margin mode drops the prediction unevaluated.
-        const PRUNE_MARGIN: f64 = 1.2;
-        /// Neighbor distance beyond which predictions are not trusted.
-        const NEAR_ENOUGH: f64 = 6.0;
-
-        let (labels, requests) = self.explore_grid(spec)?;
+        let grid = self.explore_grid(spec)?;
         let mut stats = SweepStats {
-            grid: requests.len(),
+            grid: grid.len(),
             ..SweepStats::default()
         };
 
-        // Phase 1 — canonicalize every grid point and consult the corpus.
-        // Lookups run (and count) even with pruning off, so the hit-rate
+        // Look up: resolve each grid point once and look its key up once.
+        // Lookups run (and count) even under `prune:0`, so the hit-rate
         // metrics describe corpus coverage independently of the dial.
-        //
-        // An *empty* store cannot answer any lookup, so this phase is
-        // skipped wholesale: every point then evaluates through
-        // `prepare_batch_keyed`, which returns the canonical key it built
-        // for the result-cache lookup anyway, and phase 4 records (and
-        // counts the misses) from those — the corpus adds no
-        // per-point canonicalization to the warm in-memory sweep.
-        let store_empty = self.corpus.is_store_empty();
-        let mut rkeys: Vec<Option<RequestKey>> = Vec::with_capacity(requests.len());
-        let mut reuse: Vec<Option<CorpusPoint>> = Vec::with_capacity(requests.len());
-        let mut missed = vec![false; requests.len()];
-        if store_empty {
-            rkeys.resize_with(requests.len(), || None);
-            reuse.resize_with(requests.len(), || None);
-        } else {
-            for (i, request) in requests.iter().enumerate() {
-                let key = self.resolve_request_key(request).ok().flatten();
-                let mut hit = None;
-                if let Some(k) = &key {
-                    hit = self.corpus.lookup(&serde::to_bytes(k));
-                    match &hit {
-                        Some(_) => stats.corpus_hits += 1,
-                        None => {
-                            stats.corpus_misses += 1;
-                            missed[i] = true;
-                        }
-                    }
-                }
-                reuse.push(if spec.prune { hit } else { None });
-                rkeys.push(key);
-            }
-        }
+        let resolved: Vec<Result<Resolved, IcdbError>> = grid
+            .iter()
+            .map(|(_, request)| self.resolve(request))
+            .collect();
+        let stored: Vec<Option<CorpusPoint>> = resolved
+            .iter()
+            .map(|r| self.corpus.lookup(&r.as_ref().ok()?.key))
+            .collect();
+        stats.corpus_hits = stored.iter().flatten().count();
+        stats.corpus_misses = resolved.iter().flatten().count() - stats.corpus_hits;
 
-        // Phase 2 — margin mode only: drop grid points whose *predicted*
-        // metrics are dominated with margin by the corpus-seeded front.
-        // Heuristic by design (predictions scale neighbors by width), so
-        // exactness mode never runs it.
-        let mut skipped = vec![false; requests.len()];
-        if spec.prune && !spec.prune_exact {
-            let mut seeds: Vec<[f64; 3]> = reuse
-                .iter()
-                .flatten()
-                .map(|p| [p.area, p.delay, p.power])
-                .collect();
-            let mut predictions: Vec<Option<[f64; 3]>> = vec![None; requests.len()];
-            for (i, rkey) in rkeys.iter().enumerate() {
-                if reuse[i].is_some() {
-                    continue;
-                }
-                let Some(probe) = rkey.as_ref().and_then(Probe::from_key) else {
-                    continue;
-                };
-                if let Some((d, neighbor)) = self.corpus.neighbors(&probe, 1).into_iter().next() {
-                    if d <= NEAR_ENOUGH {
-                        let pred = predict(&neighbor, probe.width);
-                        seeds.push(pred);
-                        predictions[i] = Some(pred);
-                    }
-                }
-            }
-            for (i, pred) in predictions.into_iter().enumerate() {
-                let Some(pred) = pred else { continue };
-                // A margin > 1 makes self-domination impossible, so the
-                // prediction's own seed entry never prunes it.
-                let dominated = seeds.iter().any(|s| {
-                    s[0] * PRUNE_MARGIN <= pred[0]
-                        && s[1] * PRUNE_MARGIN <= pred[1]
-                        && s[2] * PRUNE_MARGIN <= pred[2]
-                });
-                if dominated {
-                    skipped[i] = true;
-                }
-            }
-        }
-
-        // Phase 3 — evaluate whatever the corpus did not answer. The
-        // common no-reuse case (empty store, or pruning off) evaluates
-        // the full grid without cloning any request.
-        let mut eval_idx = Vec::new();
-        for i in 0..requests.len() {
-            if reuse[i].is_none() && !skipped[i] {
-                eval_idx.push(i);
-            }
-        }
-        let prepared = if eval_idx.len() == requests.len() {
-            self.prepare_batch_keyed(ns, &requests, spec.workers)
-        } else {
-            let eval_reqs: Vec<ComponentRequest> =
-                eval_idx.iter().map(|&i| requests[i].clone()).collect();
-            self.prepare_batch_keyed(ns, &eval_reqs, spec.workers)
-        };
-        stats.evaluated = eval_idx.len();
+        // Evaluate the points the corpus does not answer (its misses, or
+        // every point under `prune:0`): from the result layer, or else
+        // through the pipeline. Worker threads start only when some point
+        // misses both memos.
+        let todo: Vec<_> = grid
+            .iter()
+            .zip(&resolved)
+            .zip(&stored)
+            .filter(|(_, stored)| !spec.prune || stored.is_none())
+            .filter_map(|(((_, request), resolved), _)| {
+                let resolved = resolved.as_ref().ok()?;
+                Some((resolved, request, self.cache.get_result(&resolved.key)))
+            })
+            .collect();
+        stats.evaluated = todo.len();
         stats.pruned = stats.grid - stats.evaluated;
-        let mut payloads: Vec<Option<_>> = (0..requests.len()).map(|_| None).collect();
-        for (slot, grid_i) in prepared.into_iter().zip(eval_idx) {
-            payloads[grid_i] = Some(slot);
-        }
+        let cold = todo.iter().any(|(.., hit)| hit.is_none());
+        let workers = if cold { spec.workers } else { 1 };
+        let mut prepared = fan_out(&todo, workers, |(resolved, request, hit)| match hit {
+            Some(hit) => Ok(Arc::clone(hit)),
+            None => self.generate_resolved(resolved, request),
+        })
+        .into_iter();
 
-        // Phase 4 — assemble the report in grid order (the explorer sorts
-        // points canonically, so reconstructed and evaluated points mix
+        // Record: assemble the report in grid order (the explorer sorts
+        // points canonically, so stored and evaluated points mix
         // deterministically) and queue fresh evaluations for the corpus.
-        let mut fresh_misses: u64 = 0;
         let mut explorer = Explorer::new(spec.objective.clone());
-        for (i, strategy) in labels.into_iter().enumerate() {
-            if skipped[i] {
-                continue; // counted in stats.pruned, never silently lost
-            }
-            if let Some(p) = reuse[i].take() {
+        for (((strategy, request), resolved), stored) in grid.into_iter().zip(&resolved).zip(stored)
+        {
+            let resolved = resolved.as_ref().map_err(IcdbError::clone)?;
+            let missed = stored.is_none();
+            if let Some(p) = stored.filter(|_| spec.prune) {
                 explorer.add_point(DesignPoint {
                     implementation: p.implementation,
                     params: p.params,
@@ -361,10 +279,9 @@ impl Icdb {
                 });
                 continue;
             }
-            let (eval_key, payload) = payloads[i]
-                .take()
-                .expect("every unpruned grid point was prepared");
-            let payload = payload?;
+            let payload = prepared
+                .next()
+                .expect("every unanswered point was evaluated")?;
             let mut params = payload.params.clone();
             params.sort();
             let delay = if payload.report.clock_width > 0.0 {
@@ -382,72 +299,55 @@ impl Icdb {
                 gates: payload.netlist.gates.len(),
                 met: payload.met,
             };
-            // With an empty store every evaluated keyed point is by
-            // definition a miss (phase 1 was skipped); count it here so
-            // the hit-rate metrics stay exact. Points already sitting in
-            // the pending queue are not re-recorded — their key, which
-            // embeds the knowledge-base and cell-library versions, proves
-            // the queued row is identical.
-            if store_empty || missed[i] {
-                if let Some(rk) = eval_key {
-                    if store_empty {
-                        stats.corpus_misses += 1;
-                        fresh_misses += 1;
-                    }
-                    if self.corpus.already_queued(&rk) {
-                        explorer.add_point(point);
-                        continue;
-                    }
-                    let width = rk.width().unwrap_or(-1);
-                    let bytes = serde::to_bytes(&rk);
-                    self.corpus.queue(
-                        rk,
-                        bytes,
-                        CorpusPoint {
-                            implementation: point.implementation.clone(),
-                            width,
-                            params: point.params.clone(),
-                            strategy: point.strategy.clone(),
-                            area: point.area,
-                            delay: point.delay,
-                            power: point.power,
-                            gates: point.gates as u64,
-                            met: point.met,
-                            library_version: payload.lib_version,
-                            cells_version: payload.cells_version,
-                            seq: 0, // assigned at apply time
-                            request: serde::to_bytes(&requests[i]),
-                        },
-                    );
-                    stats.recorded += 1;
-                }
+            // A point the corpus already answered is not re-recorded, and
+            // neither is one already queued: equal keys carry equal points.
+            if missed
+                && self.corpus.queue(&resolved.key, || CorpusPoint {
+                    implementation: point.implementation.clone(),
+                    width: resolved.key.width().unwrap_or(-1),
+                    params: point.params.clone(),
+                    strategy: point.strategy.clone(),
+                    area: point.area,
+                    delay: point.delay,
+                    power: point.power,
+                    gates: point.gates as u64,
+                    met: point.met,
+                    library_version: payload.lib_version,
+                    cells_version: payload.cells_version,
+                    seq: 0, // assigned at apply time
+                    request: serde::to_bytes(&request),
+                })
+            {
+                stats.recorded += 1;
             }
             explorer.add_point(point);
-        }
-        if fresh_misses > 0 {
-            self.corpus.note_misses(fresh_misses);
         }
         self.corpus.note_pruned(stats.pruned as u64);
         Ok((explorer.finish(), stats))
     }
 
     /// Expands a spec into its request grid, in deterministic candidate ×
-    /// width × strategy order. Returns the strategy label of each request
-    /// alongside it (the rest of the point identity comes back with the
-    /// payload).
+    /// width × strategy order: the strategy label of each grid point (the
+    /// rest of the point identity comes back with its payload) and its
+    /// request.
     fn explore_grid(
         &self,
         spec: &ExploreSpec,
-    ) -> Result<(Vec<String>, Vec<ComponentRequest>), IcdbError> {
+    ) -> Result<Vec<(String, ComponentRequest)>, IcdbError> {
         let candidates: Vec<&crate::library::ComponentImpl> = if !spec.implementations.is_empty() {
-            spec.implementations
-                .iter()
-                .map(|name| {
-                    self.library
-                        .implementation(name)
-                        .ok_or_else(|| IcdbError::NotFound(format!("implementation `{name}`")))
-                })
-                .collect::<Result<_, _>>()?
+            // Names resolve case-insensitively, so two spellings can name
+            // one candidate: keep its first occurrence.
+            let mut candidates: Vec<&crate::library::ComponentImpl> = Vec::new();
+            for name in &spec.implementations {
+                let imp = self
+                    .library
+                    .implementation(name)
+                    .ok_or_else(|| IcdbError::NotFound(format!("implementation `{name}`")))?;
+                if !candidates.iter().any(|c| c.name == imp.name) {
+                    candidates.push(imp);
+                }
+            }
+            candidates
         } else if let Some(ty) = spec.component.as_deref().filter(|t| !t.is_empty()) {
             self.library.by_component_type(ty)
         } else if !spec.functions.is_empty() {
@@ -469,7 +369,8 @@ impl Icdb {
         // Validate and dedupe the grid axes up front. Unknown strategy
         // names would silently alias to cheapest sizing downstream
         // (`ComponentRequest::sizing_strategy`), and duplicate axis values
-        // would double-count grid points in the report.
+        // (like duplicate candidates above) would double-count grid points
+        // in the report.
         let strategies: Vec<String> = if spec.strategies.is_empty() {
             vec!["cheapest".to_string()]
         } else {
@@ -493,8 +394,7 @@ impl Icdb {
             }
         }
 
-        let mut labels = Vec::new();
-        let mut requests = Vec::new();
+        let mut grid = Vec::new();
         for imp in candidates {
             // Candidates without the swept width attribute are evaluated
             // once at their parameter defaults.
@@ -512,12 +412,11 @@ impl Icdb {
                         request.attributes.push((WIDTH_ATTR.into(), w.to_string()));
                     }
                     request.strategy = Some(strategy.clone());
-                    labels.push(strategy.clone());
-                    requests.push(request);
+                    grid.push((strategy.clone(), request));
                 }
             }
         }
-        Ok((labels, requests))
+        Ok(grid)
     }
 
     /// Mirrors an exploration report into the relational `exploration`
@@ -661,6 +560,14 @@ mod tests {
             )
             .unwrap();
         assert_eq!(deduped, plain);
+        // So do duplicate candidates, however they are spelled.
+        let once = ExploreSpec::by_implementations(["COUNTER"]).widths([4]);
+        let once = icdb.explore(&once).unwrap();
+        for names in [["COUNTER", "COUNTER"], ["COUNTER", "counter"]] {
+            let spec = ExploreSpec::by_implementations(names).widths([4]);
+            let (twice, stats) = icdb.explore_with_stats(&spec).unwrap();
+            assert_eq!((&twice, stats.grid, stats.evaluated), (&once, 1, 1));
+        }
     }
 
     #[test]

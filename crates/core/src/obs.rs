@@ -196,7 +196,7 @@ impl Icdb {
         out.push(Sample::int(
             "icdb_sweep_points_pruned_total",
             "counter",
-            "Sweep grid points skipped by corpus-predicted domination",
+            "Sweep grid points answered from the exploration corpus instead of evaluated",
             corpus.pruned,
         ));
 

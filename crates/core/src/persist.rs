@@ -491,11 +491,6 @@ impl Icdb {
                 .map(|d| d.as_nanos() as u64)
                 .unwrap_or(1),
         });
-        // Warm-start: replay the corpus's hottest version-fresh requests
-        // through the prepare path so the generation cache answers the
-        // first repeat requests (and the first repeat sweep) warm. Purely
-        // an optimization — failures skip points, never fail the open.
-        icdb.warm_start_from_corpus(crate::corpus::WARM_START_POINTS);
         Ok(icdb)
     }
 

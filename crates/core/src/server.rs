@@ -21,6 +21,7 @@ use crate::cache::{FlatKey, GenerationPayload, NetKey, RequestKey, SourceKey};
 use crate::error::IcdbError;
 use crate::events::MutationEvent;
 use crate::instance::ComponentInstance;
+use crate::library::ComponentImpl;
 use crate::space::{Namespace, NsId};
 use crate::spec::{ComponentRequest, Source};
 use crate::Icdb;
@@ -37,10 +38,52 @@ use std::sync::{Arc, Mutex};
 const MAX_SHAPE_STRIPS: usize = 8;
 
 /// Result of preparing one request (shared payload or the first error).
-type PreparedPayload = Result<Arc<GenerationPayload>, IcdbError>;
-/// A prepared payload plus the canonical request key the generation path
-/// built for its result-cache lookup (`None` for unkeyable sources).
-type KeyedPayload = (Option<RequestKey>, PreparedPayload);
+pub(crate) type PreparedPayload = Result<Arc<GenerationPayload>, IcdbError>;
+
+/// A library request after [`Icdb::resolve`]: the implementation it names,
+/// the parameter values its attributes bind, and its canonical key.
+pub(crate) struct Resolved<'a> {
+    imp: &'a ComponentImpl,
+    params: Vec<(String, i64)>,
+    /// The result-layer and corpus key.
+    pub(crate) key: RequestKey,
+}
+
+/// Runs `job` on every item across up to `workers` scoped threads and
+/// returns the results in item order. `workers` is clamped to
+/// `1..=items.len()`, so 0 runs sequentially.
+pub(crate) fn fan_out<I: Sync, T: Send>(
+    items: &[I],
+    workers: usize,
+    job: impl Fn(&I) -> T + Sync,
+) -> Vec<T> {
+    let workers = workers.clamp(1, items.len().max(1));
+    if workers == 1 {
+        return items.iter().map(job).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    break;
+                };
+                let result = job(item);
+                *crate::cache::lock(&slots[i]) = Some(result);
+            });
+        }
+    });
+    slots
+        .iter()
+        .map(|slot| {
+            crate::cache::lock(slot)
+                .take()
+                .expect("every item slot is filled")
+        })
+        .collect()
+}
 
 /// Design-data views persisted per instance (file suffixes).
 pub(crate) const INSTANCE_VIEW_SUFFIXES: [&str; 8] = [
@@ -129,78 +172,26 @@ impl Icdb {
     }
 
     /// The read-only half of a batch: prepares every request, fanning cold
-    /// work across up to `workers` scoped threads sharing the cache. Safe
-    /// under a shared lock. `workers` is clamped to `1..=requests.len()`
-    /// (0 would otherwise spawn a scope with no workers and leave every
-    /// result slot empty — the `expect` below would panic).
+    /// work across up to `workers` scoped threads sharing the cache (see
+    /// [`fan_out`]). Safe under a shared lock.
     pub(crate) fn prepare_batch(
         &self,
         ns: NsId,
         requests: &[ComponentRequest],
         workers: usize,
     ) -> Vec<PreparedPayload> {
-        self.prepare_batch_keyed(ns, requests, workers)
-            .into_iter()
-            .map(|(_, payload)| payload)
-            .collect()
-    }
-
-    /// [`Icdb::prepare_batch`] that also returns each request's canonical
-    /// [`RequestKey`] (when its source has one). The keys fall out of the
-    /// generation path for free — [`Icdb::prepare_payload_keyed`] builds
-    /// them for the result-cache lookup anyway — so the exploration sweep
-    /// can record corpus rows without re-canonicalizing every grid point.
-    pub(crate) fn prepare_batch_keyed(
-        &self,
-        ns: NsId,
-        requests: &[ComponentRequest],
-        workers: usize,
-    ) -> Vec<KeyedPayload> {
         // Cluster requests are never prepared here: they flatten *live*
         // instances, so the install path re-prepares them at their
         // position in the journal order (see `Icdb::apply_install`).
-        let prepare_one = |request: &ComponentRequest| -> KeyedPayload {
+        fan_out(requests, workers, |request| {
             if matches!(request.source, Source::VhdlNetlist(_)) {
-                (
-                    None,
-                    Err(IcdbError::Unsupported(
-                        "VHDL clusters are prepared at install time".into(),
-                    )),
-                )
+                Err(IcdbError::Unsupported(
+                    "VHDL clusters are prepared at install time".into(),
+                ))
             } else {
-                match self.prepare_payload_keyed(ns, request) {
-                    Ok((key, payload)) => (key, Ok(payload)),
-                    Err(err) => (None, Err(err)),
-                }
+                self.prepare_payload(ns, request)
             }
-        };
-        let workers = workers.clamp(1, requests.len().max(1));
-        if workers <= 1 {
-            return requests.iter().map(prepare_one).collect();
-        }
-        let slots: Vec<Mutex<Option<KeyedPayload>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(request) = requests.get(i) else {
-                        break;
-                    };
-                    let result = prepare_one(request);
-                    *crate::cache::lock(&slots[i]) = Some(result);
-                });
-            }
-        });
-        slots
-            .iter()
-            .map(|slot| {
-                crate::cache::lock(slot)
-                    .take()
-                    .expect("every request slot is filled")
-            })
-            .collect()
+        })
     }
 
     /// The mutating half of a batch: journals and installs one
@@ -233,65 +224,20 @@ impl Icdb {
     /// cache layer by layer, and runs only the stages that miss. Safe to
     /// call concurrently from scoped threads sharing `&self` (the service
     /// calls it under a shared read lock, so cold generation never blocks
-    /// other sessions' reads; the exploration sweep fans one call per grid
-    /// point). The mutating install half ([`Icdb::request_component`] runs
-    /// both) turns a payload into a named instance.
+    /// other sessions' reads). The mutating install half
+    /// ([`Icdb::request_component`] runs both) turns a payload into a named
+    /// instance.
     ///
     /// # Errors
     /// Propagates resolution, expansion, synthesis and estimation failures.
-    pub(crate) fn prepare_payload(
-        &self,
-        ns: NsId,
-        request: &ComponentRequest,
-    ) -> Result<Arc<GenerationPayload>, IcdbError> {
-        self.prepare_payload_keyed(ns, request)
-            .map(|(_, payload)| payload)
-    }
-
-    /// [`Icdb::prepare_payload`] that also returns the request's canonical
-    /// [`RequestKey`] — `None` for sources the corpus cannot key stably
-    /// across processes (inline IIF and VHDL clusters). Library requests
-    /// build the key for the result-cache lookup regardless, so returning
-    /// it costs nothing.
-    pub(crate) fn prepare_payload_keyed(
-        &self,
-        ns: NsId,
-        request: &ComponentRequest,
-    ) -> Result<(Option<RequestKey>, Arc<GenerationPayload>), IcdbError> {
+    pub(crate) fn prepare_payload(&self, ns: NsId, request: &ComponentRequest) -> PreparedPayload {
         match &request.source {
-            Source::Library {
-                component_name,
-                implementation,
-                functions,
-            } => {
-                let imp = self.resolve_implementation(
-                    component_name.as_deref(),
-                    implementation.as_deref(),
-                    functions,
-                )?;
-                let params = imp.bind_attributes(&request.attributes)?;
-                let source = SourceKey::Implementation(imp.name.clone());
-                let key = RequestKey::new(
-                    source,
-                    &params,
-                    request,
-                    self.library.version(),
-                    self.cells.version(),
-                );
-                if let Some(hit) = self.cache.get_result(&key) {
-                    return Ok((Some(key), hit));
+            Source::Library { .. } => {
+                let resolved = self.resolve(request)?;
+                match self.cache.get_result(&resolved.key) {
+                    Some(hit) => Ok(hit),
+                    None => self.generate_resolved(&resolved, request),
                 }
-                let payload = Arc::new(self.generate_from_module(
-                    &imp.module,
-                    key.flat_key(),
-                    imp.name.clone(),
-                    imp.functions.clone(),
-                    params,
-                    imp.connection.clone(),
-                    request,
-                )?);
-                self.cache.put_result(key.clone(), payload.clone());
-                Ok((Some(key), payload))
             }
             Source::Iif(text) => {
                 let module = icdb_iif::parse(text)?;
@@ -324,7 +270,7 @@ impl Icdb {
                     self.cells.version(),
                 );
                 if let Some(hit) = self.cache.get_result(&key) {
-                    return Ok((None, hit));
+                    return Ok(hit);
                 }
                 let payload = Arc::new(self.generate_from_module(
                     &module,
@@ -336,58 +282,103 @@ impl Icdb {
                     request,
                 )?);
                 self.cache.put_result(key, payload.clone());
-                Ok((None, payload))
+                Ok(payload)
             }
             Source::VhdlNetlist(text) => {
                 // Clusters flatten *live* instances, so their results are
                 // never cached — a stale hit could resurrect deleted state.
                 let netlist = self.flatten_cluster(ns, text)?;
-                Ok((
+                Ok(Arc::new(self.finish_payload(
+                    netlist,
+                    "cluster".to_string(),
+                    Vec::new(),
+                    Vec::new(),
+                    Default::default(),
                     None,
-                    Arc::new(self.finish_payload(
-                        netlist,
-                        "cluster".to_string(),
-                        Vec::new(),
-                        Vec::new(),
-                        Default::default(),
-                        None,
-                        request,
-                    )?),
-                ))
+                    request,
+                )?))
             }
         }
     }
 
-    /// Canonicalizes a request into its cache/corpus key *without* running
-    /// any generation stage. `Ok(None)` for sources the corpus cannot key
-    /// stably across processes (inline IIF and VHDL clusters — exploration
-    /// grids are always library-implementation requests anyway).
-    pub(crate) fn resolve_request_key(
-        &self,
-        request: &ComponentRequest,
-    ) -> Result<Option<RequestKey>, IcdbError> {
-        let Source::Library {
-            component_name,
-            implementation,
-            functions,
-        } = &request.source
-        else {
-            return Ok(None);
+    /// Resolves a library request without running any generation stage:
+    /// picks the implementation, binds the request's attributes to its
+    /// parameters, and canonicalizes the cache/corpus key. Every library
+    /// request — a plain one through [`Icdb::prepare_payload`], a sweep's
+    /// grid point — resolves here.
+    ///
+    /// # Errors
+    /// `NotFound` when no implementation matches, `Unsupported` for an
+    /// unknown attribute or a source that is not a library request.
+    pub(crate) fn resolve(&self, request: &ComponentRequest) -> Result<Resolved<'_>, IcdbError> {
+        let imp = match &request.source {
+            Source::Library {
+                implementation: Some(name),
+                ..
+            } => self
+                .library
+                .implementation(name)
+                .ok_or_else(|| IcdbError::NotFound(format!("implementation `{name}`")))?,
+            Source::Library {
+                component_name,
+                implementation: None,
+                functions,
+            } => {
+                let candidates: Vec<&ComponentImpl> = match component_name.as_deref() {
+                    Some(ty) if !ty.is_empty() => self.library.by_component_type(ty),
+                    _ => self.library.iter().collect(),
+                };
+                let executes_all = |c: &&ComponentImpl| {
+                    functions
+                        .iter()
+                        .all(|f| c.functions.iter().any(|cf| cf.eq_ignore_ascii_case(f)))
+                };
+                candidates.into_iter().find(executes_all).ok_or_else(|| {
+                    IcdbError::NotFound(format!(
+                        "no implementation for component {component_name:?} functions \
+                         {functions:?}"
+                    ))
+                })?
+            }
+            _ => {
+                return Err(IcdbError::Unsupported(
+                    "only library requests resolve to an implementation".into(),
+                ))
+            }
         };
-        let imp = self.resolve_implementation(
-            component_name.as_deref(),
-            implementation.as_deref(),
-            functions,
-        )?;
         let params = imp.bind_attributes(&request.attributes)?;
-        let source = SourceKey::Implementation(imp.name.clone());
-        Ok(Some(RequestKey::new(
-            source,
+        let key = RequestKey::new(
+            SourceKey::Implementation(imp.name.clone()),
             &params,
             request,
             self.library.version(),
             self.cells.version(),
-        )))
+        );
+        Ok(Resolved { imp, params, key })
+    }
+
+    /// Runs the pipeline for a resolved request that the result layer (the
+    /// generation cache's payload LRU) missed, and fills the layer.
+    ///
+    /// # Errors
+    /// Propagates expansion, synthesis and estimation failures.
+    pub(crate) fn generate_resolved(
+        &self,
+        resolved: &Resolved<'_>,
+        request: &ComponentRequest,
+    ) -> PreparedPayload {
+        let Resolved { imp, params, key } = resolved;
+        let payload = Arc::new(self.generate_from_module(
+            &imp.module,
+            key.flat_key(),
+            imp.name.clone(),
+            imp.functions.clone(),
+            params.clone(),
+            imp.connection.clone(),
+            request,
+        )?);
+        self.cache.put_result(key.clone(), payload.clone());
+        Ok(payload)
     }
 
     /// Runs (or recalls) expansion and synthesis for a module, then the
@@ -549,36 +540,6 @@ impl Icdb {
         space.instance_order.push(name.clone());
         space.designs.note_created(&name);
         Ok(name.to_string())
-    }
-
-    fn resolve_implementation(
-        &self,
-        component_name: Option<&str>,
-        implementation: Option<&str>,
-        functions: &[String],
-    ) -> Result<&crate::library::ComponentImpl, IcdbError> {
-        if let Some(name) = implementation {
-            return self
-                .library
-                .implementation(name)
-                .ok_or_else(|| IcdbError::NotFound(format!("implementation `{name}`")));
-        }
-        let mut candidates: Vec<&crate::library::ComponentImpl> = match component_name {
-            Some(ty) if !ty.is_empty() => self.library.by_component_type(ty),
-            _ => self.library.iter().collect(),
-        };
-        if !functions.is_empty() {
-            candidates.retain(|c| {
-                functions
-                    .iter()
-                    .all(|f| c.functions.iter().any(|cf| cf.eq_ignore_ascii_case(f)))
-            });
-        }
-        candidates.into_iter().next().ok_or_else(|| {
-            IcdbError::NotFound(format!(
-                "no implementation for component {component_name:?} functions {functions:?}"
-            ))
-        })
     }
 
     /// Flattens a VHDL netlist of existing instances into one netlist

@@ -22,11 +22,9 @@ use std::collections::BTreeMap;
 
 /// One evaluated design point, as recorded by an exploration sweep.
 ///
-/// Carries everything needed to (a) reconstruct the sweep's `DesignPoint`
-/// without re-running generation, (b) judge how trustworthy a reuse is
-/// (the knowledge-base / cell-library versions it was generated under),
-/// and (c) warm-start the generation cache after a restart (the serialized
-/// `ComponentRequest` that produced it).
+/// Carries everything needed to reconstruct the sweep's `DesignPoint`
+/// without re-running generation, plus the knowledge-base / cell-library
+/// versions it was generated under.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CorpusPoint {
     /// Resolved implementation the point was generated from.
@@ -56,8 +54,10 @@ pub struct CorpusPoint {
     /// Apply-order sequence number, assigned by [`CorpusStore::record`] —
     /// deterministic under event replay, so primaries and followers agree.
     pub seq: u64,
-    /// Serialized `ComponentRequest` that produced the point, kept so a
-    /// restarted daemon can replay it to warm the generation cache.
+    /// Serialized `ComponentRequest` that produced the point. Retired: the
+    /// server no longer reads it (it fed a removed boot-time cache
+    /// warm-start), but records keep it, unchanged, in their positional
+    /// encoding.
     pub request: Vec<u8>,
 }
 
@@ -107,15 +107,6 @@ impl CorpusStore {
     /// processes that applied the same event history.
     pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &CorpusPoint)> {
         self.points.iter()
-    }
-
-    /// The `n` most recently recorded points (by sequence number,
-    /// newest first).
-    pub fn recent(&self, n: usize) -> Vec<&CorpusPoint> {
-        let mut all: Vec<&CorpusPoint> = self.points.values().collect();
-        all.sort_by_key(|p| std::cmp::Reverse(p.seq));
-        all.truncate(n);
-        all
     }
 }
 
@@ -167,12 +158,6 @@ mod tests {
         c.record(vec![9, 0], point("C", 3, 3.0));
         let keys: Vec<&Vec<u8>> = c.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![&vec![0], &vec![9, 0], &vec![9, 9]]);
-        let recent: Vec<&str> = c
-            .recent(2)
-            .iter()
-            .map(|p| p.implementation.as_str())
-            .collect();
-        assert_eq!(recent, vec!["C", "B"]);
     }
 
     #[test]

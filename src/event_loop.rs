@@ -126,6 +126,9 @@ struct Conn {
     stream: TcpStream,
     session: icdb_core::Session,
     rbuf: Vec<u8>,
+    /// Leading bytes of `rbuf` already searched for a newline, so a line
+    /// that arrives in many chunks is scanned once, not once per chunk.
+    scanned: usize,
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written to the socket.
     wpos: usize,
@@ -188,7 +191,9 @@ impl Conn {
     /// response per line to `wbuf`; a line longer than [`MAX_LINE`] is
     /// refused and the connection closed.
     fn process_lines(&mut self) {
-        while let Some(pos) = self.rbuf.iter().position(|&b| b == b'\n') {
+        while let Some(len) = self.rbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let pos = self.scanned + len;
+            self.scanned = 0;
             if pos > MAX_LINE {
                 break;
             }
@@ -212,6 +217,7 @@ impl Conn {
                 }
             }
         }
+        self.scanned = self.rbuf.len();
         if self.rbuf.len() > MAX_LINE {
             self.wbuf.extend_from_slice(
                 format!(
@@ -584,6 +590,7 @@ fn register(epfd: i32, stream: TcpStream, service: &Arc<IcdbService>) -> Option<
         stream,
         session,
         rbuf: Vec::new(),
+        scanned: 0,
         wbuf: Vec::new(),
         wpos: 0,
         closing: false,

@@ -139,13 +139,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Corpus-pruned sweeps return the exact same report — points, front,
-    /// winner and rendered table — as unpruned ones, across random grids
-    /// and both exactness dials, with every saved evaluation counted.
+    /// winner and rendered table — as unpruned ones, across random grids,
+    /// with every saved evaluation counted.
     #[test]
     fn pruned_sweeps_match_unpruned_across_random_grids(
         wmask in 1u8..8,
         both_strategies in any::<bool>(),
-        exact in any::<bool>(),
     ) {
         let widths: Vec<i64> = [3i64, 4, 5]
             .iter()
@@ -172,9 +171,7 @@ proptest! {
         icdb.flush_corpus().unwrap();
         prop_assert_eq!(icdb.corpus_len(), cold_stats.grid);
 
-        let (warm, warm_stats) = icdb
-            .explore_with_stats(&spec.clone().prune_exact(exact))
-            .unwrap();
+        let (warm, warm_stats) = icdb.explore_with_stats(&spec).unwrap();
         prop_assert_eq!(&cold, &warm, "pruned report must equal unpruned");
         prop_assert_eq!(cold.to_table(), warm.to_table());
         prop_assert_eq!(
@@ -186,34 +183,71 @@ proptest! {
     }
 }
 
-/// Margin mode on a partially-covered grid: points it skips are counted
-/// in `pruned`, never silently dropped, and every point it *does* report
-/// is byte-identical to one from a fully-evaluated sweep.
+/// A partly covered grid — the shape of an overlapping sliding-window
+/// sweep: the corpus answers the covered two thirds exactly, the rest is
+/// evaluated and recorded, and the report equals the `prune:0` one.
 #[test]
-fn margin_mode_counts_skipped_points_and_reports_only_real_ones() {
+fn partly_covered_grid_evaluates_and_records_only_the_misses() {
     let mut icdb = Icdb::new();
     let narrow = ExploreSpec::by_component("counter")
         .widths([3, 4])
         .strategies(["cheapest", "fastest"]);
-    icdb.explore_with_stats(&narrow.prune(false)).unwrap();
+    icdb.explore(&narrow).unwrap();
     icdb.flush_corpus().unwrap();
 
-    let (report, stats) = icdb
-        .explore_with_stats(&counter_sweep().prune_exact(false))
+    let (pruned, stats) = icdb.explore_with_stats(&counter_sweep()).unwrap();
+    let third = stats.grid / 3;
+    assert_eq!(stats.grid, third * 3);
+    assert_eq!(stats.corpus_hits, 2 * third);
+    assert_eq!(
+        (stats.evaluated, stats.corpus_misses, stats.recorded),
+        (third, third, third)
+    );
+
+    // prune:0 counts the same hits, evaluates the whole grid, and records
+    // nothing new (the misses are already queued).
+    let (unpruned, full) = icdb
+        .explore_with_stats(&counter_sweep().prune(false))
         .unwrap();
-    let full = Icdb::new().explore(&counter_sweep().prune(false)).unwrap();
-    assert_eq!(stats.grid, full.points.len());
-    // Accounting is exhaustive: every grid point was reused, evaluated,
-    // or skipped — and the skipped ones are exactly the missing report
-    // entries.
-    let skipped = stats.grid - report.points.len();
-    assert_eq!(stats.evaluated + stats.corpus_hits + skipped, stats.grid);
-    assert_eq!(stats.pruned, stats.grid - stats.evaluated);
-    for p in &report.points {
+    assert_eq!(pruned, unpruned);
+    assert_eq!(pruned.to_table(), unpruned.to_table());
+    assert_eq!((full.corpus_hits, full.corpus_misses), (2 * third, third));
+    assert_eq!((full.evaluated, full.recorded), (full.grid, 0));
+}
+
+/// A failing sweep reports its first failing grid point in grid order,
+/// whether that point fails at generation (COUNTER at size 0) or at
+/// resolution (ADDER has no `enable` attribute) — on a fresh server and
+/// with part of the grid already in the corpus.
+#[test]
+fn failing_sweep_reports_the_first_failing_point_in_grid_order() {
+    fn failure(icdb: &Icdb, names: [&str; 2]) -> String {
+        icdb.explore(
+            &ExploreSpec::by_implementations(names)
+                .widths([0, 4])
+                .attribute("enable", "0"),
+        )
+        .unwrap_err()
+        .to_string()
+    }
+    let mut icdb = Icdb::new();
+    for corpus_warm in [false, true] {
+        let counter_first = failure(&icdb, ["COUNTER", "ADDER"]);
         assert!(
-            full.points.contains(p),
-            "margin-mode point {p:?} must match a fully-evaluated one"
+            counter_first.contains("output `Q[0]` is never driven"),
+            "corpus warm {corpus_warm}: {counter_first}"
         );
+        let adder_first = failure(&icdb, ["ADDER", "COUNTER"]);
+        assert!(
+            adder_first.contains("has no attribute `enable`"),
+            "corpus warm {corpus_warm}: {adder_first}"
+        );
+        let counter4 = ExploreSpec::by_implementations(["COUNTER"])
+            .widths([4])
+            .attribute("enable", "0");
+        icdb.explore(&counter4).unwrap();
+        icdb.flush_corpus().unwrap();
+        assert_eq!(icdb.corpus_len(), 1);
     }
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `icdbd` TCP server: wire round-trips are
 //! byte-identical to the embedded API for every CQL command, connections
-//! get isolated sessions, mutating acks carry the commit sequence, and the
+//! get isolated sessions, mutating acks carry the commit sequence, request
+//! lines are framed exactly however they are split or batched, and the
 //! connection cap and the request-line cap refuse politely.
 
 use icdb::cql::{scan_slots, CqlArg, SlotSpec, SlotType, Tier, COMMANDS};
@@ -292,10 +293,11 @@ fn serves_with_commit_seq_acks() {
     handle.shutdown();
 }
 
-#[test]
-fn oversized_request_line_is_refused_and_closed() {
-    let (handle, _service) = spawn_server(4);
-    let stream = TcpStream::connect(handle.addr()).unwrap();
+/// A raw wire connection, past its greeting: the socket to write
+/// requests to and a reader of its replies.
+fn raw_connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
@@ -303,6 +305,13 @@ fn oversized_request_line_is_refused_and_closed() {
     let mut greeting = String::new();
     reader.read_line(&mut greeting).unwrap();
     assert!(greeting.starts_with("OK icdbd ready"), "{greeting}");
+    (stream, reader)
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_closed() {
+    let (handle, _service) = spawn_server(4);
+    let (stream, mut reader) = raw_connect(handle.addr());
 
     // One byte over the cap, no newline: the server must refuse before
     // it ever sees the end of the line.
@@ -323,6 +332,52 @@ fn oversized_request_line_is_refused_and_closed() {
         .execute("command:cache_query; capacity:?d", &mut args)
         .unwrap();
     client.quit().unwrap();
+    handle.shutdown();
+}
+
+/// Reads one reply to a request with one output slot off a raw wire
+/// connection: the `OK 1` header and its output line.
+fn read_reply(reader: &mut impl BufRead) -> String {
+    let mut reply = String::new();
+    for _ in 0..2 {
+        reader.read_line(&mut reply).unwrap();
+    }
+    reply
+}
+
+#[test]
+fn fragmented_and_pipelined_requests_get_one_reply_each_in_order() {
+    let (handle, _service) = spawn_server(4);
+    let (stream, mut reader) = raw_connect(handle.addr());
+    let request = "command:component_query; component_name:counter; implementation:?s[]";
+    (&stream)
+        .write_all(format!("{request}\n").as_bytes())
+        .unwrap();
+    let whole = read_reply(&mut reader);
+    assert!(whole.starts_with("OK 1\n"), "{whole}");
+
+    // Split across writes with pauses: one write ends inside a term, and
+    // `\r` and `\n` arrive in separate writes.
+    let (head, tail) = request.split_at(request.find("counter").unwrap() + 3);
+    for part in [head, tail, "\r", "\n"] {
+        (&stream).write_all(part.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(read_reply(&mut reader), whole);
+
+    // Two requests in one write: two replies, in order.
+    (&stream)
+        .write_all(format!("command:cache_query; capacity:?d\n{request}\n").as_bytes())
+        .unwrap();
+    let first = read_reply(&mut reader);
+    assert!(first.starts_with("OK 1\nd "), "{first}");
+    assert_eq!(read_reply(&mut reader), whole);
+
+    // Nothing else was sent: `quit` closes a connection with no replies
+    // outstanding.
+    (&stream).write_all(b"quit\n").unwrap();
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "{rest}");
     handle.shutdown();
 }
 
