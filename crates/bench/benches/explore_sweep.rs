@@ -1,16 +1,28 @@
-//! Perf claim of the exploration subsystem: a warm design-space sweep
-//! (every grid point already in the generation cache) must be ≥10× faster
-//! than a cold one — exploration amortizes through the same cache that
-//! serves plain component requests.
+//! Perf claims of the exploration subsystem:
+//!
+//! * `sweep` — a warm design-space sweep (every grid point already in the
+//!   generation cache) must be ≥10× faster than a cold one: exploration
+//!   amortizes through the same cache that serves plain component requests;
+//! * `sizing` — the cost of a cold point is mostly TILOS sizing, which
+//!   re-times one gate per trial move on a `TimingGraph`. Its speedup is
+//!   the reference loop's time (a full STA per trial,
+//!   `icdb_bench::reference`) over `size_netlist`'s, both measured in this
+//!   run on `fastest` `ALU size=4` and `CSEL_ADDER size=4`.
 //!
 //! Besides the criterion groups, `main` runs an explicit measurement pass
 //! and writes `BENCH_explore_sweep.json` next to this crate's manifest;
-//! `perfgate` enforces the warm/cold speedup floor committed in
+//! `perfgate` enforces both speedup floors committed in
 //! `BENCH_baseline.json`.
 
 use criterion::{black_box, Criterion};
-use icdb::{ExploreSpec, Icdb};
+use icdb::estimate::LoadSpec;
+use icdb::logic::GateNetlist;
+use icdb::sizing::{SizingResult, Strategy};
+use icdb::{cells::Library, ExploreSpec, Icdb};
 use std::time::{Duration, Instant};
+
+/// A sizing loop under measurement.
+type Sizer = fn(&mut GateNetlist, &Library, &LoadSpec, &Strategy) -> SizingResult;
 
 /// The acceptance-criteria sweep: every counter implementation (≥3) ×
 /// three bit-widths × both sizing strategies.
@@ -46,8 +58,58 @@ fn median(mut samples: Vec<Duration>) -> Duration {
     samples[samples.len() / 2]
 }
 
+/// Time `size` takes to run `fastest` on every netlist in `netlists`.
+fn time_sizing(size: Sizer, netlists: &[GateNetlist], lib: &Library) -> Duration {
+    let loads = LoadSpec::uniform(10.0);
+    let t = Instant::now();
+    for nl in netlists {
+        black_box(size(&mut nl.clone(), lib, &loads, &Strategy::Fastest));
+    }
+    t.elapsed()
+}
+
+/// The `sizing` row: reference loop vs `size_netlist`. Each of three rounds
+/// times one reference run and then the median of five `size_netlist`
+/// runs, so machine drift hits both sides of a round's ratio; the row
+/// reports the median round.
+fn measure_sizing() -> String {
+    let icdb = Icdb::new();
+    let lib = &icdb.cells;
+    let netlists: Vec<GateNetlist> = ["ALU", "CSEL_ADDER"]
+        .iter()
+        .map(|imp| icdb_bench::builtin_netlist(&icdb, imp, 4).expect("builtin maps"))
+        .collect();
+    let ratio = |(reference, graph): &(Duration, Duration)| {
+        reference.as_nanos() as f64 / graph.as_nanos().max(1) as f64
+    };
+    let mut rounds: Vec<(Duration, Duration)> = (0..3)
+        .map(|_| {
+            let reference = time_sizing(icdb_bench::reference::size_netlist, &netlists, lib);
+            let graph = median(
+                (0..5)
+                    .map(|_| time_sizing(icdb::sizing::size_netlist, &netlists, lib))
+                    .collect(),
+            );
+            (reference, graph)
+        })
+        .collect();
+    rounds.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+    let (reference, graph) = rounds[1];
+    let speedup = ratio(&rounds[1]);
+    println!(
+        "explore_sweep: fastest sizing of ALU+CSEL_ADDER size=4: reference {reference:?} \
+         timing graph {graph:?} speedup {speedup:.0}x"
+    );
+    format!(
+        "{{\"subject\": \"sizing\", \"reference_ns\": {}, \"graph_ns\": {}, \
+         \"speedup\": {speedup:.1}}}",
+        reference.as_nanos(),
+        graph.as_nanos()
+    )
+}
+
 /// Explicit measurement pass feeding the JSON artifact and the speedup
-/// verdict printed at the end of the run.
+/// verdicts printed at the end of the run.
 fn measure_summary() -> String {
     let spec = sweep_spec();
     let mut icdb = Icdb::new();
@@ -82,11 +144,12 @@ fn measure_summary() -> String {
     format!(
         "{{\n  \"bench\": \"explore_sweep\",\n  \"sweep\": [\n    \
          {{\"subject\": \"sweep\", \"points\": {}, \"front\": {}, \"cold_ns\": {}, \
-         \"warm_ns\": {}, \"speedup\": {speedup:.1}}}\n  ]\n}}\n",
+         \"warm_ns\": {}, \"speedup\": {speedup:.1}}},\n    {}\n  ]\n}}\n",
         report.points.len(),
         report.front.len(),
         cold.as_nanos(),
-        warm.as_nanos()
+        warm.as_nanos(),
+        measure_sizing()
     )
 }
 

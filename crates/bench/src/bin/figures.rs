@@ -7,7 +7,7 @@
 //!
 //! Artifacts: `fig5 fig6 fig9 fig10 fig11 fig12 fig13 tab_delay tab_shape
 //! tab_gentime`. Paper reference values are printed next to the measured
-//! ones; EXPERIMENTS.md records the comparison.
+//! ones.
 
 use icdb_bench as bench;
 

@@ -11,14 +11,16 @@
 //!
 //! ```text
 //! cargo bench --bench gen_cached_throughput --bench service_concurrency \
-//!     --bench explore_sweep --bench wal_replay
+//!     --bench explore_sweep --bench sweep_pruned --bench wal_replay \
+//!     --bench metrics_overhead
 //! cargo run -p icdb-bench --bin perfgate -- --write-baseline
 //! git add crates/bench/BENCH_baseline.json   # commit the new floors
 //! ```
 //!
-//! The floors are speedup *ratios* (cold ÷ warm from the same run), so
-//! they transfer between machines; `--write-baseline` applies a 0.8
-//! headroom factor so run-to-run noise does not trip the gate.
+//! Most floors are speedup *ratios* (cold ÷ warm, or reference ÷ shipped,
+//! from the same run), so they transfer between machines;
+//! `--write-baseline` applies a 0.8 headroom factor so run-to-run noise
+//! does not trip the gate.
 
 use icdb_bench::json::{parse, Json};
 use icdb_bench::perfgate::{evaluate, parse_baseline, render_baseline, render_table};

@@ -7,9 +7,11 @@
 
 pub mod json;
 pub mod perfgate;
+pub mod reference;
 
 use icdb::estimate::{LoadSpec, ShapeFunction};
 use icdb::layout::{best_by_aspect, Floorplan, SlicingTree};
+use icdb::logic::{synthesize, GateNetlist, SynthOptions};
 use icdb::sizing::Strategy;
 use icdb::{ComponentRequest, Icdb};
 
@@ -66,6 +68,23 @@ pub fn generate_counter_variant(icdb: &mut Icdb, attrs: &[(&str, &str)]) -> Stri
     }
     icdb.request_component(&req)
         .expect("counter variant generates")
+}
+
+/// The unsized netlist of builtin `implementation` with its `size`
+/// attribute set to `width`, as the generation pipeline maps it; `None`
+/// when the implementation rejects that width. An implementation without
+/// a `size` parameter maps at its defaults, as `explore` evaluates it.
+pub fn builtin_netlist(icdb: &Icdb, implementation: &str, width: i64) -> Option<GateNetlist> {
+    let imp = icdb.library.implementation(implementation)?;
+    let attrs: Vec<(String, String)> = if imp.params.iter().any(|p| p.name == "size") {
+        vec![("size".to_string(), width.to_string())]
+    } else {
+        Vec::new()
+    };
+    let params = imp.bind_attributes(&attrs).ok()?;
+    let pairs: Vec<(&str, i64)> = params.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    let flat = icdb::iif::expand(&imp.module, &pairs, &icdb.library).ok()?;
+    synthesize(&flat, &icdb.cells, &SynthOptions::default()).ok()
 }
 
 /// E1 / Fig. 5: the area/time trade-off of the five counter variants.

@@ -4,17 +4,19 @@
 //! regresses by more than the tolerance (default 25%).
 //!
 //! The gated metrics are **speedup ratios** (cold median ÷ warm median,
-//! measured in the *same* bench run), not absolute nanoseconds — ratios
-//! transfer between the CI runner and a developer laptop, while absolute
-//! times do not. A 2× warm-path slowdown halves every speedup, far past
-//! the 25% gate (see `injected_two_x_warm_slowdown_fails` below, the
-//! permanent in-tree demonstration).
+//! or a reference implementation's median ÷ the shipped one's, measured in
+//! the *same* bench run), not absolute nanoseconds — ratios transfer
+//! between the CI runner and a developer laptop, while absolute times do
+//! not. A 2× warm-path slowdown halves every speedup, far past the 25%
+//! gate (see `injected_two_x_warm_slowdown_fails` below, the permanent
+//! in-tree demonstration).
 //!
 //! Refreshing the baseline after an intentional perf change:
 //!
 //! ```text
 //! cargo bench --bench gen_cached_throughput --bench service_concurrency \
-//!     --bench explore_sweep
+//!     --bench explore_sweep --bench sweep_pruned --bench wal_replay \
+//!     --bench metrics_overhead
 //! cargo run -p icdb-bench --bin perfgate -- --write-baseline
 //! ```
 //!
@@ -32,8 +34,9 @@ pub const DEFAULT_TOLERANCE: f64 = 0.25;
 pub const BASELINE_HEADROOM: f64 = 0.8;
 
 /// The gated metrics: `(bench, subject, metric)`. All are
-/// higher-is-better (cold÷warm speedups, throughputs, or the corpus
-/// points-evaluated `reduction` percentage). `subject` is matched against a
+/// higher-is-better (cold÷warm speedups, the reference÷timing-graph sizing
+/// speedup, throughputs, or the corpus points-evaluated `reduction`
+/// percentage). `subject` is matched against a
 /// `"component"`/`"subject"` field, or parsed as `key=value` and matched
 /// against a numeric field of that name (e.g. `sessions=8`).
 pub const GATE_SPECS: &[(&str, &str, &str)] = &[
@@ -44,6 +47,7 @@ pub const GATE_SPECS: &[(&str, &str, &str)] = &[
     ("service_concurrency", "sessions=8", "speedup"),
     ("service_concurrency", "sessions=64", "speedup"),
     ("explore_sweep", "sweep", "speedup"),
+    ("explore_sweep", "sizing", "speedup"),
     ("sweep_pruned", "pruned", "reduction"),
     ("wal_replay", "replay", "events_per_sec"),
     ("wal_replay", "snapshot", "speedup"),
@@ -237,8 +241,8 @@ pub fn render_baseline(artifacts: &[Json]) -> String {
     format!(
         "{{\n  \"note\": \"Perf-regression floors (speedup ratios, measured value x {BASELINE_HEADROOM} \
          headroom). Refresh: cargo bench --bench gen_cached_throughput --bench service_concurrency \
-         --bench explore_sweep --bench sweep_pruned --bench wal_replay && cargo run -p icdb-bench \
-         --bin perfgate -- --write-baseline\",\n  \
+         --bench explore_sweep --bench sweep_pruned --bench wal_replay --bench metrics_overhead \
+         && cargo run -p icdb-bench --bin perfgate -- --write-baseline\",\n  \
          \"tolerance\": {DEFAULT_TOLERANCE},\n  \"gates\": [\n{gates}\n  ]\n}}\n"
     )
 }

@@ -12,7 +12,7 @@
 //! * `SD port` — setup time required on each input port.
 
 use icdb_cells::Library;
-use icdb_logic::{GNet, GateNetlist};
+use icdb_logic::GateNetlist;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -120,32 +120,6 @@ impl fmt::Display for EstimateError {
 
 impl std::error::Error for EstimateError {}
 
-/// Per-gate output delay under the current sizing and loading.
-pub fn gate_delays(nl: &GateNetlist, lib: &Library, loads: &LoadSpec) -> Vec<f64> {
-    let fanouts = nl.fanouts();
-    let output_names: HashMap<GNet, &str> =
-        nl.outputs.iter().map(|&o| (o, nl.net_name(o))).collect();
-    nl.gates
-        .iter()
-        .map(|g| {
-            let sinks = fanouts.get(&g.output).map(Vec::as_slice).unwrap_or(&[]);
-            let mut load: f64 = sinks
-                .iter()
-                .map(|&(gi, _)| {
-                    let sink = &nl.gates[gi];
-                    lib.cell(sink.cell).input_load(sink.size)
-                })
-                .sum();
-            let mut fanout = sinks.len();
-            if let Some(port) = output_names.get(&g.output) {
-                load += loads.load_of(port);
-                fanout += 1;
-            }
-            lib.cell(g.cell).delay(g.size, load, fanout)
-        })
-        .collect()
-}
-
 /// Computes the full §3.3 timing report for a mapped netlist.
 ///
 /// # Errors
@@ -155,154 +129,356 @@ pub fn estimate_delay(
     lib: &Library,
     loads: &LoadSpec,
 ) -> Result<DelayReport, EstimateError> {
-    let order = nl
-        .comb_topo_order(lib)
-        .map_err(|e| EstimateError { message: e.message })?;
-    let delays = gate_delays(nl, lib, loads);
+    Ok(TimingGraph::new(nl, lib, loads)?.report())
+}
 
-    let seq_gates: Vec<usize> = (0..nl.gates.len())
-        .filter(|&i| lib.cell(nl.gates[i].cell).function.is_sequential())
-        .collect();
+/// An arrival time, `None` where no path arrives (stored as a non-finite
+/// value).
+fn arrival(a: f64) -> Option<f64> {
+    a.is_finite().then_some(a)
+}
 
-    // Arrival seeded by both PIs (at 0) and sequential outputs (at their
-    // clock-to-Q gate delay): gives WD per output. Ripple structures clock
-    // one flip-flop from another's Q, so the clock-arrival at each
-    // sequential cell must accumulate along the clock chain — iterate to a
-    // fixpoint (bounded by the flip-flop count).
-    let mut seed_all: HashMap<GNet, f64> = HashMap::new();
-    for &i in &nl.inputs {
-        seed_all.insert(i, 0.0);
+/// Arrival times indexed by net.
+#[derive(Clone)]
+struct Arrivals {
+    /// Seeded by the primary inputs (at 0) and the sequential outputs (at
+    /// their clock-to-Q delay, accumulated along clock chains).
+    all: Vec<f64>,
+    /// Seeded by the sequential outputs only: register-to-register paths.
+    seq: Vec<f64>,
+}
+
+/// The static timing graph of one netlist under one [`LoadSpec`]: the one
+/// definition of STA behind both [`estimate_delay`] and transistor sizing.
+///
+/// The structure (combinational topological order, sequential gates, each
+/// net's sinks, port load and driver) is built once; sizing never changes
+/// topology. Drive sizes live in the graph. [`TimingGraph::resize`] re-times
+/// only the gates whose delay depends on the resized gate — the gate itself
+/// and the drivers of its input nets, whose load changed — and then
+/// re-propagates the dense per-net arrival times that the objective
+/// accessors ([`clock_width`](TimingGraph::clock_width),
+/// [`worst_output_delay`](TimingGraph::worst_output_delay), …) read. The
+/// full [`DelayReport`], with names, setup and combinational delays, comes
+/// from [`TimingGraph::report`].
+///
+/// Every float is computed with the same operations in the same order as a
+/// fresh analysis of the netlist at the graph's sizes, so results are bit
+/// identical however many resizes came before.
+pub struct TimingGraph<'a> {
+    nl: &'a GateNetlist,
+    lib: &'a Library,
+    /// Combinational gates in topological order.
+    order: Vec<usize>,
+    /// Sequential gates in netlist order.
+    seq: Vec<usize>,
+    /// Per net, one sink gate per (gate, pin) use, in [`GateNetlist::fanouts`]
+    /// order, so every load sum adds in the same order.
+    sinks: Vec<Vec<usize>>,
+    /// Per net, the external load of the output port it drives.
+    port_load: Vec<Option<f64>>,
+    /// Per net, the gate driving it.
+    driver: Vec<Option<usize>>,
+    sizes: Vec<f64>,
+    delays: Vec<f64>,
+    /// Seeds of the last timing pass: 0 on primary inputs, the
+    /// clock-chain fixpoint on sequential outputs, absent (`NEG_INFINITY`)
+    /// elsewhere.
+    seeds: Vec<f64>,
+    /// Arrivals at the current sizes.
+    timed: Arrivals,
+    /// Buffers a trial times into, so `timed` survives it.
+    spare: Arrivals,
+}
+
+impl<'a> TimingGraph<'a> {
+    /// Builds and times the graph of `nl` at its current drive sizes.
+    ///
+    /// # Errors
+    /// Fails on combinational cycles.
+    pub fn new(
+        nl: &'a GateNetlist,
+        lib: &'a Library,
+        loads: &LoadSpec,
+    ) -> Result<TimingGraph<'a>, EstimateError> {
+        let order = nl
+            .comb_topo_order(lib)
+            .map_err(|e| EstimateError { message: e.message })?;
+        let nets = nl.net_count();
+        let mut sinks = vec![Vec::new(); nets];
+        let mut driver = vec![None; nets];
+        for (gi, g) in nl.gates.iter().enumerate() {
+            for n in &g.inputs {
+                sinks[n.index()].push(gi);
+            }
+            driver[g.output.index()] = Some(gi);
+        }
+        let mut port_load = vec![None; nets];
+        for &o in &nl.outputs {
+            port_load[o.index()] = Some(loads.load_of(nl.net_name(o)));
+        }
+        let mut seeds = vec![f64::NEG_INFINITY; nets];
+        for &i in &nl.inputs {
+            seeds[i.index()] = 0.0;
+        }
+        let arrivals = Arrivals {
+            all: vec![f64::NEG_INFINITY; nets],
+            seq: vec![f64::NEG_INFINITY; nets],
+        };
+        let mut graph = TimingGraph {
+            nl,
+            lib,
+            order,
+            seq: (0..nl.gates.len())
+                .filter(|&i| lib.cell(nl.gates[i].cell).function.is_sequential())
+                .collect(),
+            sinks,
+            port_load,
+            driver,
+            sizes: nl.gates.iter().map(|g| g.size).collect(),
+            delays: Vec::new(),
+            seeds,
+            timed: arrivals.clone(),
+            spare: arrivals,
+        };
+        graph.delays = (0..nl.gates.len()).map(|gi| graph.gate_delay(gi)).collect();
+        graph.time();
+        Ok(graph)
     }
-    for &gi in &seq_gates {
-        seed_all.insert(nl.gates[gi].output, delays[gi]);
+
+    /// Drive size of gate `gate`.
+    pub fn size(&self, gate: usize) -> f64 {
+        self.sizes[gate]
     }
-    let mut arr_all = propagate_arrival(nl, &order, &delays, &seed_all);
-    for _ in 0..seq_gates.len().max(1) {
-        let mut changed = false;
-        for &gi in &seq_gates {
-            let clk_net = nl.gates[gi].inputs[1];
-            let clk_arr = arr_all.get(&clk_net).copied().unwrap_or(0.0);
-            let q_arr = clk_arr + delays[gi];
-            let slot = seed_all.get_mut(&nl.gates[gi].output).expect("seeded");
-            if (q_arr - *slot).abs() > 1e-9 {
-                *slot = q_arr;
-                changed = true;
+
+    /// The drive sizes, in gate order.
+    pub fn into_sizes(self) -> Vec<f64> {
+        self.sizes
+    }
+
+    /// Sets gate `gate` to drive `size` and re-times the graph.
+    pub fn resize(&mut self, gate: usize, size: f64) {
+        self.retime(gate, size);
+        self.time();
+    }
+
+    /// A trial move: times the graph with gate `gate` at drive `size`,
+    /// returns `f` of that timing, and puts the gate back.
+    pub fn trial<R>(&mut self, gate: usize, size: f64, f: impl FnOnce(&Self) -> R) -> R {
+        let old = self.sizes[gate];
+        std::mem::swap(&mut self.timed, &mut self.spare);
+        self.resize(gate, size);
+        let result = f(self);
+        self.retime(gate, old);
+        std::mem::swap(&mut self.timed, &mut self.spare);
+        result
+    }
+
+    /// Minimum clock width (`CW`): the worst register-to-register arrival
+    /// at any sequential data or asynchronous pin plus setup, bounded below
+    /// by the minimum pulse widths; 0 for combinational designs.
+    pub fn clock_width(&self) -> f64 {
+        let pulse = self
+            .seq
+            .iter()
+            .map(|&gi| self.seq_timing(gi).min_pulse)
+            .fold(0.0, f64::max);
+        self.worst_setup(&self.timed.seq)
+            .map_or(pulse, |w| pulse.max(w))
+    }
+
+    /// Worst `WD` over all outputs.
+    pub fn worst_output_delay(&self) -> f64 {
+        self.nl
+            .outputs
+            .iter()
+            .filter_map(|o| arrival(self.timed.all[o.index()]))
+            .fold(0.0, f64::max)
+    }
+
+    /// `WD` of one output port.
+    pub fn output_delay(&self, port: &str) -> Option<f64> {
+        self.nl
+            .outputs
+            .iter()
+            .filter(|&&o| self.nl.net_name(o) == port)
+            .find_map(|o| arrival(self.timed.all[o.index()]))
+    }
+
+    /// Worst arrival time anywhere in the design.
+    pub fn critical_path(&self) -> f64 {
+        self.timed
+            .all
+            .iter()
+            .filter_map(|&a| arrival(a))
+            .fold(0.0, f64::max)
+    }
+
+    /// The full §3.3 report at the current sizes.
+    pub fn report(&self) -> DelayReport {
+        let nl = self.nl;
+        // Arrival seeded only by PIs: the combinational delay per output.
+        let mut arr = vec![f64::NEG_INFINITY; nl.net_count()];
+        for &i in &nl.inputs {
+            arr[i.index()] = 0.0;
+        }
+        self.propagate(&mut arr);
+        let mut output_delays = Vec::new();
+        let mut comb_delays = Vec::new();
+        for &o in &nl.outputs {
+            let name = nl.net_name(o);
+            if let Some(d) = arrival(self.timed.all[o.index()]) {
+                output_delays.push((name.to_string(), d));
+            }
+            if let Some(d) = arrival(arr[o.index()]) {
+                comb_delays.push((name.to_string(), d));
             }
         }
-        if !changed {
-            break;
-        }
-        arr_all = propagate_arrival(nl, &order, &delays, &seed_all);
-    }
-
-    // Arrival seeded only by sequential outputs: register-to-register paths.
-    let mut seed_seq: HashMap<GNet, f64> = HashMap::new();
-    for &gi in &seq_gates {
-        seed_seq.insert(nl.gates[gi].output, delays[gi]);
-    }
-    let arr_seq = propagate_arrival(nl, &order, &delays, &seed_seq);
-
-    // Arrival seeded only by PIs: combinational delay and setup component.
-    let mut seed_pi: HashMap<GNet, f64> = HashMap::new();
-    for &i in &nl.inputs {
-        seed_pi.insert(i, 0.0);
-    }
-    let arr_pi = propagate_arrival(nl, &order, &delays, &seed_pi);
-
-    // WD per output (clock or input to output, whichever path exists).
-    let mut output_delays = Vec::new();
-    let mut comb_delays = Vec::new();
-    for &o in &nl.outputs {
-        let name = nl.net_name(o).to_string();
-        if let Some(&d) = arr_all.get(&o) {
-            output_delays.push((name.clone(), d));
-        }
-        if let Some(&d) = arr_pi.get(&o) {
-            comb_delays.push((name, d));
-        }
-    }
-
-    // CW: worst reg→reg arrival at any sequential data/async pin + setup,
-    // bounded by the min pulse widths.
-    let mut clock_width: f64 = 0.0;
-    for &gi in &seq_gates {
-        let g = &nl.gates[gi];
-        let cell = lib.cell(g.cell);
-        let seq = cell.seq.expect("sequential cell has seq timing");
-        clock_width = clock_width.max(seq.min_pulse);
-        // Pin 0 is D; asynchronous pins also constrain the cycle.
-        for (pi, n) in g.inputs.iter().enumerate() {
-            if pi == 1 {
-                continue; // clock pin
-            }
-            if let Some(&a) = arr_seq.get(n) {
-                clock_width = clock_width.max(a + seq.setup);
+        // SD per input: worst path from that input alone to any sequential
+        // data/async pin, plus that cell's setup.
+        let mut setup_times = Vec::new();
+        for &i in &nl.inputs {
+            arr.fill(f64::NEG_INFINITY);
+            arr[i.index()] = 0.0;
+            self.propagate(&mut arr);
+            if let Some(w) = self.worst_setup(&arr) {
+                setup_times.push((nl.net_name(i).to_string(), w));
             }
         }
+        DelayReport {
+            clock_width: self.clock_width(),
+            output_delays,
+            setup_times,
+            comb_delays,
+            critical_path: self.critical_path(),
+        }
     }
 
-    // SD per input: worst path from that input alone to any sequential
-    // data/async pin, plus that cell's setup.
-    let mut setup_times = Vec::new();
-    for &i in &nl.inputs {
-        let mut seed = HashMap::new();
-        seed.insert(i, 0.0);
-        let arr = propagate_arrival(nl, &order, &delays, &seed);
+    /// Output delay of gate `gi` under the current sizes and loads.
+    fn gate_delay(&self, gi: usize) -> f64 {
+        let g = &self.nl.gates[gi];
+        let out = g.output.index();
+        let sinks = &self.sinks[out];
+        let mut load: f64 = sinks
+            .iter()
+            .map(|&s| {
+                self.lib
+                    .cell(self.nl.gates[s].cell)
+                    .input_load(self.sizes[s])
+            })
+            .sum();
+        let mut fanout = sinks.len();
+        if let Some(port) = self.port_load[out] {
+            load += port;
+            fanout += 1;
+        }
+        self.lib.cell(g.cell).delay(self.sizes[gi], load, fanout)
+    }
+
+    /// Sets gate `gate` to drive `size` and re-times each gate whose delay
+    /// depends on it once: the gate and the drivers of its input nets. The
+    /// gate may drive one of its own pins.
+    fn retime(&mut self, gate: usize, size: f64) {
+        self.sizes[gate] = size;
+        self.delays[gate] = self.gate_delay(gate);
+        let nl = self.nl;
+        let inputs = &nl.gates[gate].inputs;
+        for (k, n) in inputs.iter().enumerate() {
+            match self.driver[n.index()] {
+                Some(d) if d != gate && !inputs[..k].contains(n) => {
+                    self.delays[d] = self.gate_delay(d);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Re-propagates `timed` from the current delays. Ripple structures
+    /// clock one flip-flop from another's Q, so the clock arrival at each
+    /// sequential cell accumulates along the clock chain: iterate to a
+    /// fixpoint, bounded by the flip-flop count.
+    fn time(&mut self) {
+        let nl = self.nl;
+        for &gi in &self.seq {
+            self.seeds[nl.gates[gi].output.index()] = self.delays[gi];
+        }
+        let mut all = std::mem::take(&mut self.timed.all);
+        all.copy_from_slice(&self.seeds);
+        self.propagate(&mut all);
+        for _ in 0..self.seq.len().max(1) {
+            let mut changed = false;
+            for &gi in &self.seq {
+                let g = &nl.gates[gi];
+                let clk_arr = arrival(all[g.inputs[1].index()]).unwrap_or(0.0);
+                let q_arr = clk_arr + self.delays[gi];
+                let slot = &mut self.seeds[g.output.index()];
+                if (q_arr - *slot).abs() > 1e-9 {
+                    *slot = q_arr;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+            all.copy_from_slice(&self.seeds);
+            self.propagate(&mut all);
+        }
+        // A combinational design has no register paths: `seq` stays empty.
+        let mut seq = std::mem::take(&mut self.timed.seq);
+        if !self.seq.is_empty() {
+            seq.fill(f64::NEG_INFINITY);
+            for &gi in &self.seq {
+                seq[nl.gates[gi].output.index()] = self.delays[gi];
+            }
+            self.propagate(&mut seq);
+        }
+        self.timed = Arrivals { all, seq };
+    }
+
+    /// Longest-path arrival propagation over the combinational gates, in
+    /// place: `arr` holds the seeds on entry.
+    fn propagate(&self, arr: &mut [f64]) {
+        for &gi in &self.order {
+            let g = &self.nl.gates[gi];
+            let worst_in = g
+                .inputs
+                .iter()
+                .map(|n| arr[n.index()])
+                .fold(f64::NEG_INFINITY, f64::max);
+            if worst_in.is_finite() {
+                let t = worst_in + self.delays[gi];
+                let slot = &mut arr[g.output.index()];
+                if t > *slot {
+                    *slot = t;
+                }
+            }
+        }
+    }
+
+    /// Worst arrival in `arr` at any sequential data or asynchronous pin
+    /// (every pin but the clock, pin 1) plus that cell's setup.
+    fn worst_setup(&self, arr: &[f64]) -> Option<f64> {
         let mut worst: Option<f64> = None;
-        for &gi in &seq_gates {
-            let g = &nl.gates[gi];
-            let cell = lib.cell(g.cell);
-            let setup = cell.seq.expect("seq timing").setup;
-            for (pi, n) in g.inputs.iter().enumerate() {
+        for &gi in &self.seq {
+            let setup = self.seq_timing(gi).setup;
+            for (pi, n) in self.nl.gates[gi].inputs.iter().enumerate() {
                 if pi == 1 {
                     continue;
                 }
-                if let Some(&a) = arr.get(n) {
+                if let Some(a) = arrival(arr[n.index()]) {
                     worst = Some(worst.map_or(a + setup, |w: f64| w.max(a + setup)));
                 }
             }
         }
-        if let Some(w) = worst {
-            setup_times.push((nl.net_name(i).to_string(), w));
-        }
+        worst
     }
 
-    let critical_path = arr_all.values().copied().fold(0.0, f64::max);
-    Ok(DelayReport {
-        clock_width,
-        output_delays,
-        setup_times,
-        comb_delays,
-        critical_path,
-    })
-}
-
-/// Longest-path arrival propagation over the combinational gates.
-fn propagate_arrival(
-    nl: &GateNetlist,
-    order: &[usize],
-    delays: &[f64],
-    seeds: &HashMap<GNet, f64>,
-) -> HashMap<GNet, f64> {
-    let mut arr: HashMap<GNet, f64> = seeds.clone();
-    for &gi in order {
-        let g = &nl.gates[gi];
-        let worst_in = g
-            .inputs
-            .iter()
-            .filter_map(|n| arr.get(n))
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        if worst_in.is_finite() {
-            let t = worst_in + delays[gi];
-            let slot = arr.entry(g.output).or_insert(f64::NEG_INFINITY);
-            if t > *slot {
-                *slot = t;
-            }
-        }
+    fn seq_timing(&self, gi: usize) -> icdb_cells::SeqTiming {
+        self.lib
+            .cell(self.nl.gates[gi].cell)
+            .seq
+            .expect("sequential cell has seq timing")
     }
-    arr.retain(|_, v| v.is_finite());
-    arr
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! * [`estimate_delay`] — the §4.4.1 linear delay model
 //!   (`Trans_no·X + Y + fanout_no·Z`, path sums) producing the §3.3 report:
 //!   minimum clock width `CW`, clock-to-output delays `WD`, setup times
-//!   `SD`;
+//!   `SD`. It reads a [`TimingGraph`], which transistor sizing also keeps
+//!   and re-times one gate at a time;
 //! * [`estimate_area`] / [`estimate_shape`] — the §4.4.2 strip model:
 //!   width `(X+Y)/2` from random-balanced and best placements, height from
 //!   transistor rows plus wire-length-derived routing tracks; sweeping the
@@ -37,5 +38,5 @@ mod delay;
 mod power;
 
 pub use area::{estimate_area, estimate_shape, track_utilization, ShapeAlternative, ShapeFunction};
-pub use delay::{estimate_delay, gate_delays, DelayReport, EstimateError, LoadSpec};
+pub use delay::{estimate_delay, DelayReport, EstimateError, LoadSpec, TimingGraph};
 pub use power::{estimate_power, PowerReport, PowerSpec};

@@ -4,13 +4,13 @@
 
 use crate::ports::{PortSpec, Side};
 use icdb_cells::{Library, TECH};
-use icdb_logic::{GNet, GateNetlist};
+use icdb_logic::GateNetlist;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A placed cell instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacedCell {
     /// Index into `GateNetlist::gates`.
     pub gate: usize,
@@ -25,7 +25,7 @@ pub struct PlacedCell {
 }
 
 /// A placed I/O port on the boundary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacedPort {
     /// Port name.
     pub name: String,
@@ -38,7 +38,7 @@ pub struct PlacedPort {
 }
 
 /// A generated strip layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Layout {
     /// Design name.
     pub name: String,
@@ -98,23 +98,22 @@ impl Layout {
                     .map(move |c| (c.gate, (c.x + c.width / 2.0, si as f64)))
             })
             .collect();
-        let mut nets: HashMap<GNet, Vec<(f64, f64)>> = HashMap::new();
+        // Indexed by net, so the float sum below adds in net order.
+        let mut nets: Vec<Vec<(f64, f64)>> = vec![Vec::new(); nl.net_count()];
         for (gi, g) in nl.gates.iter().enumerate() {
             if let Some(&(x, y)) = centers.get(&gi) {
-                nets.entry(g.output).or_default().push((x, y));
+                nets[g.output.index()].push((x, y));
                 for n in &g.inputs {
-                    nets.entry(*n).or_default().push((x, y));
+                    nets[n.index()].push((x, y));
                 }
             }
         }
         for p in &self.ports {
             if let Some(net) = nl.net_id(&p.name) {
-                nets.entry(net)
-                    .or_default()
-                    .push((p.x, p.y / (TECH.transistor_height + TECH.rail_height)));
+                nets[net.index()].push((p.x, p.y / (TECH.transistor_height + TECH.rail_height)));
             }
         }
-        nets.values()
+        nets.iter()
             .filter(|pins| pins.len() >= 2)
             .map(|pins| {
                 let (mut x0, mut x1, mut y0, mut y1) = (
@@ -259,19 +258,20 @@ pub fn place(
     let util = icdb_estimate::track_utilization(cells_per_strip);
     let mut total_span = 0.0;
     {
-        let mut spans: HashMap<GNet, (f64, f64)> = HashMap::new();
+        // Indexed by net, so the float sum below adds in net order.
+        let mut spans: Vec<Option<(f64, f64)>> = vec![None; nl.net_count()];
         for row in &placed {
             for c in row {
                 let g = &nl.gates[c.gate];
                 let cx = c.x + c.width / 2.0;
                 for net in g.inputs.iter().chain(std::iter::once(&g.output)) {
-                    let e = spans.entry(*net).or_insert((cx, cx));
+                    let e = spans[net.index()].get_or_insert((cx, cx));
                     e.0 = e.0.min(cx);
                     e.1 = e.1.max(cx);
                 }
             }
         }
-        for (lo, hi) in spans.values() {
+        for (lo, hi) in spans.iter().flatten() {
             total_span += hi - lo;
         }
     }
@@ -418,6 +418,31 @@ VARIABLE: i;
         assert!((cout.x - l.width).abs() < 1e-9);
         let i00 = l.ports.iter().find(|p| p.name == "I0[0]").unwrap();
         assert_eq!(i00.y, 0.0);
+    }
+
+    /// Both float sums over nets (`place`'s track span and `wirelength`)
+    /// add in net order, so repeated placements agree to the bit.
+    #[test]
+    fn repeated_placements_are_bit_identical() {
+        let (mut nl, lib) = netlist(8);
+        // Uneven drives give widths whose float sums depend on order.
+        for (i, g) in nl.gates.iter_mut().enumerate() {
+            g.size = 1.0 + (i % 7) as f64 * 0.37;
+        }
+        let spec = PortSpec::default();
+        for strips in 1..=4 {
+            let first = place(&nl, &lib, strips, &spec).unwrap();
+            let wirelength = first.wirelength(&nl).to_bits();
+            for _ in 0..20 {
+                let again = place(&nl, &lib, strips, &spec).unwrap();
+                assert_eq!(again, first, "{strips} strips");
+                assert_eq!(
+                    again.wirelength(&nl).to_bits(),
+                    wirelength,
+                    "{strips} strips"
+                );
+            }
+        }
     }
 
     #[test]

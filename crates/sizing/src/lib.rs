@@ -30,14 +30,15 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 use icdb_cells::{Library, TECH};
-use icdb_estimate::{estimate_delay, DelayReport, LoadSpec};
+use icdb_estimate::{estimate_delay, DelayReport, LoadSpec, TimingGraph};
 use icdb_logic::GateNetlist;
 use std::collections::HashMap;
 
-/// Multiplicative drive step per sizing move.
-const SIZE_STEP: f64 = 1.35;
-/// Hard cap on sizing iterations.
-const MAX_MOVES: usize = 400;
+/// Multiplicative drive step of one sizing move: a move takes a gate from
+/// drive `s` to `min(s · SIZE_STEP, TECH.max_drive)`.
+pub const SIZE_STEP: f64 = 1.35;
+/// Hard cap on the number of moves one sizing run applies.
+pub const MAX_MOVES: usize = 400;
 
 /// Timing targets extracted from a component request.
 #[derive(Debug, Clone, Default)]
@@ -59,17 +60,18 @@ impl SizingGoal {
         }
     }
 
-    /// Worst violation of this goal under `report` (≤ 0 means met).
-    pub fn violation(&self, report: &DelayReport) -> f64 {
+    /// Worst violation of this goal under `timing` (≤ 0 means met). Ports
+    /// the design lacks constrain nothing.
+    pub fn violation(&self, timing: &TimingGraph) -> f64 {
         let mut v = f64::NEG_INFINITY;
         if let Some(cw) = self.clock_width {
-            v = v.max(report.clock_width - cw);
+            v = v.max(timing.clock_width() - cw);
         }
         if let Some(d) = self.worst_delay {
-            v = v.max(report.worst_output_delay() - d);
+            v = v.max(timing.worst_output_delay() - d);
         }
         for (port, bound) in &self.per_output {
-            if let Some(d) = report.output_delay(port) {
+            if let Some(d) = timing.output_delay(port) {
                 v = v.max(d - bound);
             }
         }
@@ -106,97 +108,95 @@ pub struct SizingResult {
     pub area_width: f64,
 }
 
+/// The value a sizing move must lower: the violation of `goal`, or for
+/// `fastest` (no goal) the clock width or, in a combinational design, the
+/// worst path.
+fn objective(goal: Option<&SizingGoal>, timing: &TimingGraph) -> f64 {
+    match goal {
+        Some(goal) => goal.violation(timing),
+        None => {
+            let clock_width = timing.clock_width();
+            if clock_width > 0.0 {
+                clock_width.max(timing.worst_output_delay())
+            } else {
+                timing.worst_output_delay().max(timing.critical_path())
+            }
+        }
+    }
+}
+
 /// Sizes `nl` in place according to `strategy`.
 ///
 /// Greedy TILOS loop: at each step evaluate, for every gate, the delay
 /// improvement per unit of added width from one drive bump, apply the best
-/// move, and stop when constraints are met / nothing improves.
+/// move (the first gate with the strictly largest ratio), and stop when
+/// constraints are met / nothing improves. One [`TimingGraph`] serves the
+/// whole run, so a trial re-times one gate and its fanin drivers instead of
+/// the whole netlist.
 pub fn size_netlist(
     nl: &mut GateNetlist,
     lib: &Library,
     loads: &LoadSpec,
     strategy: &Strategy,
 ) -> SizingResult {
-    let objective = |report: &DelayReport| -> f64 {
-        match strategy {
-            Strategy::Constraints(goal) => goal.violation(report),
-            Strategy::Fastest => {
-                if report.clock_width > 0.0 {
-                    report.clock_width.max(report.worst_output_delay())
-                } else {
-                    report.worst_output_delay().max(report.critical_path)
-                }
-            }
-            Strategy::Cheapest => 0.0,
+    let goal = match strategy {
+        Strategy::Cheapest => {
+            let report = estimate_delay(nl, lib, loads).expect("sized netlists are acyclic");
+            return SizingResult {
+                iterations: 0,
+                met: true,
+                report,
+                area_width: nl.total_width(lib),
+            };
         }
+        Strategy::Fastest => None,
+        Strategy::Constraints(goal) => Some(goal),
     };
 
-    let mut report = estimate_delay(nl, lib, loads).expect("sized netlists are acyclic");
-    if matches!(strategy, Strategy::Cheapest) {
-        let area_width = nl.total_width(lib);
-        return SizingResult {
-            iterations: 0,
-            met: true,
-            report,
-            area_width,
-        };
-    }
-
+    let mut graph = TimingGraph::new(nl, lib, loads).expect("sized netlists are acyclic");
     let mut iterations = 0;
     loop {
-        let current = objective(&report);
-        let done = match strategy {
-            Strategy::Constraints(_) => current <= 0.0,
-            Strategy::Fastest => false,
-            Strategy::Cheapest => true,
-        };
-        if done || iterations >= MAX_MOVES {
+        let current = objective(goal, &graph);
+        if goal.is_some() && current <= 0.0 || iterations >= MAX_MOVES {
             break;
         }
 
         // Evaluate one bump per gate; keep the best delay/area trade.
-        let mut best: Option<(usize, f64, f64, DelayReport)> = None; // (gate, gain_ratio, gain, report)
-        for gi in 0..nl.gates.len() {
-            let old_size = nl.gates[gi].size;
+        let mut best: Option<(usize, f64, f64)> = None; // (gate, new size, gain ratio)
+        for (gi, gate) in nl.gates.iter().enumerate() {
+            let old_size = graph.size(gi);
             if old_size >= TECH.max_drive {
                 continue;
             }
             let new_size = (old_size * SIZE_STEP).min(TECH.max_drive);
-            let cell = lib.cell(nl.gates[gi].cell);
+            let cell = lib.cell(gate.cell);
             let area_delta = cell.width(new_size) - cell.width(old_size);
-            nl.gates[gi].size = new_size;
-            let trial = estimate_delay(nl, lib, loads).expect("acyclic");
-            nl.gates[gi].size = old_size;
-            let gain = current - objective(&trial);
+            let gain = current - graph.trial(gi, new_size, |t| objective(goal, t));
             if gain > 1e-9 {
                 let ratio = gain / area_delta.max(1e-9);
-                if best.as_ref().is_none_or(|(_, r, _, _)| ratio > *r) {
-                    best = Some((gi, ratio, gain, trial));
+                if best.is_none_or(|(_, _, r)| ratio > r) {
+                    best = Some((gi, new_size, ratio));
                 }
             }
         }
-
-        match best {
-            Some((gi, _, _, trial)) => {
-                let ns = (nl.gates[gi].size * SIZE_STEP).min(TECH.max_drive);
-                nl.gates[gi].size = ns;
-                report = trial;
-                iterations += 1;
-            }
-            None => break, // no move improves the objective
-        }
+        let Some((gi, new_size, _)) = best else {
+            break; // no move improves the objective
+        };
+        graph.resize(gi, new_size);
+        iterations += 1;
     }
 
-    let met = match strategy {
-        Strategy::Constraints(goal) => goal.violation(&report) <= 1e-9,
-        _ => true,
-    };
-    let area_width = nl.total_width(lib);
+    let report = graph.report();
+    let met = goal.is_none_or(|goal| goal.violation(&graph) <= 1e-9);
+    let sizes = graph.into_sizes();
+    for (gate, size) in nl.gates.iter_mut().zip(sizes) {
+        gate.size = size;
+    }
     SizingResult {
         iterations,
         met,
         report,
-        area_width,
+        area_width: nl.total_width(lib),
     }
 }
 
@@ -336,17 +336,16 @@ VARIABLE: i;
 
     #[test]
     fn goal_violation_logic() {
-        let report = DelayReport {
-            clock_width: 20.0,
-            output_delays: vec![("Q".into(), 8.0)],
-            setup_times: vec![],
-            comb_delays: vec![],
-            critical_path: 8.0,
-        };
-        assert!(SizingGoal::clock(25.0).violation(&report) <= 0.0);
-        assert!(SizingGoal::clock(15.0).violation(&report) > 0.0);
+        let (nl, lib) = counter(4);
+        let graph = TimingGraph::new(&nl, &lib, &LoadSpec::uniform(10.0)).unwrap();
+        let cw = graph.clock_width();
+        let q0 = graph.output_delay("Q[0]").unwrap();
+        assert!(SizingGoal::clock(cw + 5.0).violation(&graph) <= 0.0);
+        assert!(SizingGoal::clock(cw - 5.0).violation(&graph) > 0.0);
         let mut g = SizingGoal::default();
-        g.per_output.insert("Q".into(), 5.0);
-        assert!((g.violation(&report) - 3.0).abs() < 1e-9);
+        g.per_output.insert("Q[0]".into(), q0 - 3.0);
+        g.per_output.insert("missing".into(), 0.0);
+        assert!((g.violation(&graph) - 3.0).abs() < 1e-9);
+        assert_eq!(SizingGoal::default().violation(&graph), 0.0);
     }
 }
