@@ -82,7 +82,7 @@ pub use icdb_explore::{DesignPoint, ExplorationReport, Explorer, Objective};
 pub use instance::ComponentInstance;
 pub use library::{ComponentImpl, GenericComponentLibrary, ParamSpec};
 pub use persist::PersistStats;
-pub use service::{IcdbService, ReplSnapshot, Session};
+pub use service::{IcdbService, ReplSnapshot, Session, WriteGuard};
 pub use space::NsId;
 pub use spec::{ComponentRequest, Constraints, Source, TargetLevel};
 pub use tools::{GeneratorInfo, ToolManager, ToolStep};

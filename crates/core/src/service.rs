@@ -43,11 +43,6 @@
 //! counters and invalidates warm cache hits *and epoch snapshots* for
 //! all sessions at once.
 //!
-//! Mutating through the raw [`IcdbService::write`] guard bypasses the
-//! version mirrors; they heal on the next service-level call (any
-//! [`IcdbService::read`] renotes them), so prefer the session API when
-//! epoch-read freshness matters.
-//!
 //! ```
 //! use icdb_core::{ComponentRequest, IcdbService};
 //! use std::sync::Arc;
@@ -74,6 +69,7 @@ use crate::{CacheStats, Icdb};
 use icdb_cql::{bind_outputs, parse_command, Command, CqlArg, Response, Tier};
 use icdb_estimate::LoadSpec;
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -99,8 +95,8 @@ pub struct IcdbService {
     shards: ShardSet,
     /// The cached epoch snapshot serving lock-free knowledge reads, plus
     /// the version mirrors that decide its freshness. The mirrors trail
-    /// the live versions by at most one in-flight exclusive section (they
-    /// are renoted before the write guard drops).
+    /// the live versions by at most one in-flight exclusive section: every
+    /// [`WriteGuard`] renotes them as it drops.
     epoch: Mutex<Option<Arc<Icdb>>>,
     lib_version: AtomicU64,
     cells_version: AtomicU64,
@@ -207,29 +203,18 @@ impl IcdbService {
     /// exclusive-section mutation is either a single map/store operation
     /// or is followed by consistent bookkeeping.
     pub fn read(&self) -> RwLockReadGuard<'_, Icdb> {
-        let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        // Opportunistic healing: renote the version mirrors so epoch
-        // snapshots catch up with mutations made through raw `write()`
-        // guards (which bypass `note_versions`).
-        self.note_versions(&guard);
-        guard
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Exclusive (write) access to the underlying server. Prefer the
-    /// session API: raw-guard mutations bypass the epoch version mirrors
-    /// (healed on the next service-level read) and the group-commit wait
-    /// discipline.
-    pub fn write(&self) -> RwLockWriteGuard<'_, Icdb> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Mirrors the live knowledge versions so `epoch()` can judge
-    /// snapshot freshness without a lock probe.
-    fn note_versions(&self, icdb: &Icdb) {
-        self.lib_version
-            .store(icdb.library.version(), Ordering::Release);
-        self.cells_version
-            .store(icdb.cells.version(), Ordering::Release);
+    /// Exclusive (write) access to the underlying server. Knowledge
+    /// acquired through the guard is visible to the next epoch read (see
+    /// [`WriteGuard`]); prefer the session API anyway, which also keeps
+    /// the group-commit wait discipline.
+    pub fn write(&self) -> WriteGuard<'_> {
+        WriteGuard {
+            guard: self.inner.write().unwrap_or_else(PoisonError::into_inner),
+            service: self,
+        }
     }
 
     fn lock_epoch(&self) -> std::sync::MutexGuard<'_, Option<Arc<Icdb>>> {
@@ -250,8 +235,7 @@ impl IcdbService {
                 return Arc::clone(snap);
             }
         }
-        let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        self.note_versions(&guard);
+        let guard = self.read();
         let snap = Arc::new(guard.read_snapshot());
         drop(guard);
         *self.lock_epoch() = Some(Arc::clone(&snap));
@@ -260,11 +244,10 @@ impl IcdbService {
 
     /// The exclusive commit section shared by every mutating service
     /// path: journal events are *enqueued* (not fsynced) while `f` runs
-    /// under the write guard, the version mirrors are renoted, the guard
-    /// drops — and only then does the caller block on the group-commit
-    /// ticket. Waiting on the **last** ticket suffices: WAL batches are
-    /// drained in sequence order, so a later event durable implies every
-    /// earlier one is.
+    /// under the write guard, the guard drops — and only then does the
+    /// caller block on the group-commit ticket. Waiting on the **last**
+    /// ticket suffices: WAL batches are drained in sequence order, so a
+    /// later event durable implies every earlier one is.
     ///
     /// When `f` itself fails its error wins (events already enqueued
     /// replay deterministically to the same failure); when `f` succeeds
@@ -311,7 +294,6 @@ impl IcdbService {
         guard.begin_deferred();
         let result = f(&mut guard);
         let tickets = guard.end_deferred();
-        self.note_versions(&guard);
         drop(guard);
         let durable = match tickets.last() {
             Some(ticket) => ticket.wait(),
@@ -371,7 +353,6 @@ impl IcdbService {
         let ns = guard.create_namespace();
         let tickets = guard.end_deferred();
         self.lock_owners().insert(ns.raw(), token);
-        self.note_versions(&guard);
         drop(guard);
         if let Some(ticket) = tickets.last() {
             // A durability failure degrades the server to read-only but
@@ -531,7 +512,6 @@ impl IcdbService {
                 repl.lag_events = lag_events;
             }
         }
-        self.note_versions(&guard);
         drop(guard);
         if let Some(ticket) = tickets.last() {
             ticket.wait()?;
@@ -634,6 +614,41 @@ pub struct ReplSnapshot {
     pub wal_tail: Vec<Vec<u8>>,
 }
 
+/// Exclusive access to a service's [`Icdb`], from [`IcdbService::write`].
+/// Dropping it renotes the knowledge-version mirrors while the lock is
+/// still held, so knowledge acquired through any write — the session API
+/// or this raw guard — reaches the next epoch read.
+#[derive(Debug)]
+pub struct WriteGuard<'a> {
+    guard: RwLockWriteGuard<'a, Icdb>,
+    service: &'a IcdbService,
+}
+
+impl Deref for WriteGuard<'_> {
+    type Target = Icdb;
+
+    fn deref(&self) -> &Icdb {
+        &self.guard
+    }
+}
+
+impl DerefMut for WriteGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Icdb {
+        &mut self.guard
+    }
+}
+
+impl Drop for WriteGuard<'_> {
+    fn drop(&mut self) {
+        self.service
+            .lib_version
+            .store(self.guard.library.version(), Ordering::Release);
+        self.service
+            .cells_version
+            .store(self.guard.cells.version(), Ordering::Release);
+    }
+}
+
 /// One client's view of the service: a private design namespace over the
 /// shared knowledge base. Dropping (or [`Session::close`]-ing) the session
 /// deletes its instances and design data.
@@ -674,11 +689,13 @@ impl Session {
     /// session's namespace. Echoed in wire acks (`OK <n> commit:<seq>`)
     /// so a client that lost a response mid-commit can reconnect and
     /// tell "commit applied" from "commit never happened".
-    pub fn commit_seq(&self) -> u64 {
-        self.service
-            .read()
-            .commit_seq_in(self.ns)
-            .unwrap_or_default()
+    ///
+    /// # Errors
+    /// [`IcdbError::NotFound`] naming the namespace when it was dropped
+    /// under the session: another session attached to it and closed, or
+    /// a follower replayed its drop.
+    pub fn commit_seq(&self) -> Result<u64, IcdbError> {
+        self.service.read().commit_seq_in(self.ns)
     }
 
     /// Closes the session explicitly, deleting its namespace (if this
@@ -1241,6 +1258,41 @@ VARIABLE: i;
         assert_ne!(Arc::as_ptr(&before), Arc::as_ptr(&after));
         assert!(after.library.implementation("GRAY_COUNTER").is_some());
         assert!(before.library.implementation("GRAY_COUNTER").is_none());
+    }
+
+    /// Knowledge acquired through a raw `write()` guard reaches a session
+    /// whose epoch snapshot was already warm: the guard renotes the
+    /// version mirrors as it drops.
+    #[test]
+    fn raw_write_guard_knowledge_reaches_the_next_epoch_query() {
+        let service = IcdbService::shared();
+        let session = service.open_session();
+        let counters = || {
+            let mut args = vec![CqlArg::OutStrList(None)];
+            session
+                .execute(
+                    "command:component_query; component:counter; ICDB_components:?s[]",
+                    &mut args,
+                )
+                .unwrap();
+            match args.pop() {
+                Some(CqlArg::OutStrList(Some(names))) => names,
+                other => panic!("no names: {other:?}"),
+            }
+        };
+        assert!(!counters().iter().any(|n| n == "GRAY_COUNTER"));
+        service
+            .write()
+            .insert_implementation(
+                GRAY_COUNTER,
+                "Counter",
+                &["INC"],
+                &[("size", 4)],
+                None,
+                "raw guard probe",
+            )
+            .unwrap();
+        assert!(counters().iter().any(|n| n == "GRAY_COUNTER"));
     }
 
     /// Same-shard sessions serialize their commits; different-shard

@@ -2,15 +2,25 @@
 //! path, which makes `icdbd` Linux-only: thousands of connections
 //! multiplexed over a small worker pool.
 //!
-//! Earlier revisions ran one thread per connection, so the connection cap
-//! was really a thread budget. Here a blocking acceptor admits sockets
-//! (the cap becomes pure admission policy) and hands each one round-robin
-//! to a worker; every worker owns a private `epoll` instance, an
-//! `eventfd` wake channel, and the per-connection state machines — a
-//! read buffer scanned for line frames, a write buffer drained as the
-//! socket accepts bytes, and the [`Session`](icdb_core::Session) whose
-//! drop cleans the namespace up. No `libc` crate: the five syscalls are
-//! declared as raw externs, per the repo's no-dependency policy.
+//! A blocking acceptor claims an admission `Slot` for each socket (the
+//! connection cap is pure admission policy, not a thread budget) and
+//! hands socket and slot round-robin to a worker. Every worker owns a
+//! private `epoll` instance, an `eventfd` wake channel, and one map of
+//! connections keyed by fd. A `Conn` is the one connection state machine
+//! for everything icdbd serves: a read buffer cut into frames, a write
+//! buffer drained as the socket accepts bytes, and an idle clock. What it
+//! speaks is data, a `Proto`: a CQL client with its
+//! [`Session`](icdb_core::Session) and slot, or a Prometheus scrape on
+//! worker 0's `--metrics-addr` listener.
+//!
+//! A connection starts closing after `quit`, EOF, an oversize frame or a
+//! scrape's answer. From then on it reads nothing (lines pipelined after
+//! `quit` are discarded) and only drains its output. Dropping a `Conn`
+//! drops the session, which deletes its namespace, and then the slot,
+//! which gives the capacity back — on every path: close, idle reap,
+//! failed registration, or a worker that unwinds. No `libc` crate: the
+//! syscalls are declared as raw externs, per the repo's no-dependency
+//! policy.
 //!
 //! Commands still execute synchronously on the owning worker, so one
 //! long cold generation stalls that worker's other connections (not the
@@ -20,7 +30,7 @@
 //! blast radius.
 
 use crate::net::{dispatch_line, escape, http_metrics_response, ErrCode, MAX_LINE};
-use icdb_core::IcdbService;
+use icdb_core::{IcdbService, Session};
 use icdb_obs::log as olog;
 use icdb_obs::metrics as obs;
 use std::collections::HashMap;
@@ -110,11 +120,6 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// Token of the metrics HTTP listener (worker 0 only).
 const METRICS_TOKEN: u64 = u64::MAX - 1;
 
-/// High bit marking a token as a metrics HTTP connection rather than a
-/// CQL connection. File descriptors are small non-negative ints, so the
-/// flagged and unflagged token spaces can never collide.
-const HTTP_FLAG: u64 = 1 << 63;
-
 /// A metrics scrape left half-open longer than this is dropped (the CQL
 /// idle sweep is configurable; scrapes have no business being slow).
 const HTTP_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -122,9 +127,45 @@ const HTTP_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Longest request head a metrics scrape may send.
 const HTTP_MAX_HEAD: usize = 8 * 1024;
 
+/// One unit of the connection cap. The acceptor claims it, the inbox
+/// carries it with the socket, and the connection owns it. Its `Drop` is
+/// the only place `active` and `icdb_connections` go down.
+struct Slot(Arc<AtomicUsize>);
+
+impl Slot {
+    /// Claims a slot, or `None` when `max` are already held.
+    fn claim(active: &Arc<AtomicUsize>, max: usize) -> Option<Slot> {
+        active
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < max).then_some(n + 1)
+            })
+            .ok()?;
+        obs::CONNECTIONS.inc();
+        Some(Slot(Arc::clone(active)))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+        obs::CONNECTIONS.dec();
+    }
+}
+
+/// What a connection speaks.
+enum Proto {
+    /// A CQL client: its session (dropped first, which deletes the
+    /// namespace) and the admission slot it holds, never read, only
+    /// dropped.
+    Cql(Session, #[allow(dead_code)] Slot),
+    /// A metrics scrape: one HTTP/1.0 request head in, the exposition
+    /// out, then close. Scrapes are not admission-capped.
+    Http,
+}
+
 struct Conn {
     stream: TcpStream,
-    session: icdb_core::Session,
+    proto: Proto,
     rbuf: Vec<u8>,
     /// Leading bytes of `rbuf` already searched for a newline, so a line
     /// that arrives in many chunks is scanned once, not once per chunk.
@@ -132,22 +173,59 @@ struct Conn {
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written to the socket.
     wpos: usize,
-    /// Flush what is buffered, then close (set by `quit`, EOF, or a
-    /// protocol violation).
+    /// Read nothing more; flush what is buffered, then close.
     closing: bool,
-    /// Whether the epoll registration currently includes `EPOLLOUT`.
-    armed_out: bool,
-    /// When this connection last showed readiness (the idle-sweep clock).
+    /// The interest set currently registered with epoll.
+    registered: u32,
+    /// When bytes last moved either way (the idle-sweep clock).
     last_active: Instant,
 }
 
 impl Conn {
+    /// Puts a socket under epoll: non-blocking mode, and for CQL the
+    /// greeting queued (and opportunistically flushed). Returns `None` —
+    /// dropping the connection, slot included — when the socket is
+    /// already unusable.
+    fn register(epfd: i32, stream: TcpStream, proto: Proto) -> Option<(u64, Conn)> {
+        stream.set_nonblocking(true).ok()?;
+        let wbuf = match &proto {
+            Proto::Cql(session, _) => {
+                format!("OK icdbd ready (session ns{})\n", session.ns().raw()).into_bytes()
+            }
+            Proto::Http => Vec::new(),
+        };
+        let mut conn = Conn {
+            stream,
+            proto,
+            rbuf: Vec::new(),
+            scanned: 0,
+            wbuf,
+            wpos: 0,
+            closing: false,
+            registered: 0,
+            last_active: Instant::now(),
+        };
+        conn.flush().ok()?;
+        conn.registered = conn.interest();
+        let fd = conn.stream.as_raw_fd();
+        ctl(epfd, EPOLL_CTL_ADD, fd, conn.registered, fd as u64).ok()?;
+        Some((fd as u64, conn))
+    }
+
+    /// Input until the connection starts closing, output while some is
+    /// unwritten. Dropping the input interest matters: level-triggered
+    /// epoll would otherwise report a peer that keeps writing after
+    /// `quit` on every wait.
     fn interest(&self) -> u32 {
-        let mut i = EPOLLIN | EPOLLRDHUP;
-        if self.armed_out {
-            i |= EPOLLOUT;
+        let mut interest = if self.closing {
+            0
+        } else {
+            EPOLLIN | EPOLLRDHUP
+        };
+        if self.wpos < self.wbuf.len() {
+            interest |= EPOLLOUT;
         }
-        i
+        interest
     }
 
     /// Drains as much of `wbuf` as the socket accepts right now.
@@ -155,7 +233,10 @@ impl Conn {
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.wpos += n,
+                Ok(n) => {
+                    self.wpos += n;
+                    self.last_active = Instant::now();
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
@@ -169,16 +250,23 @@ impl Conn {
     }
 
     /// Reads what is currently available, but stops once `rbuf` holds
-    /// more than [`MAX_LINE`] bytes — level-triggered epoll reports the
-    /// rest on the next wakeup, so a peer that keeps the socket readable
-    /// cannot grow the buffer without bound. Returns whether the peer
-    /// closed its end.
+    /// more than one frame may ([`MAX_LINE`] for CQL, [`HTTP_MAX_HEAD`]
+    /// for a scrape) — level-triggered epoll reports the rest on the next
+    /// wakeup, so a peer that keeps the socket readable cannot grow the
+    /// buffer without bound. Returns whether the peer closed its end.
     fn fill(&mut self) -> io::Result<bool> {
+        let cap = match self.proto {
+            Proto::Cql(..) => MAX_LINE,
+            Proto::Http => HTTP_MAX_HEAD,
+        };
         let mut chunk = [0u8; 16 * 1024];
-        while self.rbuf.len() <= MAX_LINE {
+        while self.rbuf.len() <= cap {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Ok(true),
-                Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    self.last_active = Instant::now();
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
@@ -187,68 +275,80 @@ impl Conn {
         Ok(false)
     }
 
-    /// Executes every complete line framed in `rbuf`, appending one
-    /// response per line to `wbuf`; a line longer than [`MAX_LINE`] is
-    /// refused and the connection closed.
-    fn process_lines(&mut self) {
-        while let Some(len) = self.rbuf[self.scanned..].iter().position(|&b| b == b'\n') {
-            let pos = self.scanned + len;
-            self.scanned = 0;
-            if pos > MAX_LINE {
-                break;
-            }
-            let frame: Vec<u8> = self.rbuf.drain(..=pos).collect();
-            let text = String::from_utf8_lossy(&frame[..pos]);
-            let line = text.trim_end_matches(['\r', '\n']);
-            if line.is_empty() {
-                continue;
-            }
-            if line == "quit" || line == "exit" {
-                self.closing = true;
-                return;
-            }
-            let outcome = dispatch_line(&mut self.session, line);
-            match outcome {
-                Ok(reply) => self.wbuf.extend_from_slice(reply.render().as_bytes()),
-                Err((code, message)) => {
+    /// Answers what `rbuf` frames: one response per complete CQL line
+    /// (a line longer than [`MAX_LINE`] is refused), or the exposition
+    /// for a complete scrape head. Starts closing on `quit`, an oversize
+    /// line, a scrape's answer, or `eof`. Returns `false` when the
+    /// connection must be dropped at once: a scrape head that is too
+    /// long or can never complete.
+    fn answer(&mut self, eof: bool, service: &IcdbService) -> bool {
+        match &mut self.proto {
+            Proto::Cql(session, _) => {
+                while let Some(len) = self.rbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+                    let pos = self.scanned + len;
+                    self.scanned = 0;
+                    if pos > MAX_LINE {
+                        break;
+                    }
+                    let frame: Vec<u8> = self.rbuf.drain(..=pos).collect();
+                    let text = String::from_utf8_lossy(&frame[..pos]);
+                    let line = text.trim_end_matches(['\r', '\n']);
+                    if line.is_empty() {
+                        continue;
+                    }
+                    if line == "quit" || line == "exit" {
+                        self.closing = true;
+                        return true;
+                    }
+                    match dispatch_line(session, line) {
+                        Ok(reply) => self.wbuf.extend_from_slice(reply.render().as_bytes()),
+                        Err((code, message)) => self.wbuf.extend_from_slice(
+                            format!("ERR {} {}\n", code.as_str(), escape(&message)).as_bytes(),
+                        ),
+                    }
+                }
+                self.scanned = self.rbuf.len();
+                if self.rbuf.len() > MAX_LINE {
                     self.wbuf.extend_from_slice(
-                        format!("ERR {} {}\n", code.as_str(), escape(&message)).as_bytes(),
+                        format!(
+                            "ERR {} request line exceeds {MAX_LINE} bytes\n",
+                            ErrCode::Parse.as_str()
+                        )
+                        .as_bytes(),
                     );
+                    self.closing = true;
+                }
+            }
+            Proto::Http => {
+                let head_complete = self.rbuf.windows(2).any(|w| w == b"\n\n")
+                    || self.rbuf.windows(4).any(|w| w == b"\r\n\r\n");
+                if head_complete {
+                    let text = String::from_utf8_lossy(&self.rbuf);
+                    let request_line = text.lines().next().unwrap_or_default();
+                    self.wbuf = http_metrics_response(service, request_line);
+                    self.closing = true;
+                } else if self.rbuf.len() > HTTP_MAX_HEAD || eof {
+                    // With the head incomplete at EOF no response can ever
+                    // be produced (LB/k8s connect-then-close health probes
+                    // land here).
+                    return false;
                 }
             }
         }
-        self.scanned = self.rbuf.len();
-        if self.rbuf.len() > MAX_LINE {
-            self.wbuf.extend_from_slice(
-                format!(
-                    "ERR {} request line exceeds {MAX_LINE} bytes\n",
-                    ErrCode::Parse.as_str()
-                )
-                .as_bytes(),
-            );
-            self.closing = true;
-        }
+        self.closing |= eof;
+        true
     }
 
     /// Reacts to one readiness report. Returns `true` when the
     /// connection is finished and must be deregistered and dropped.
-    fn handle(&mut self, events: u32, epfd: i32) -> bool {
-        self.last_active = Instant::now();
+    fn handle(&mut self, events: u32, epfd: i32, service: &IcdbService) -> bool {
         if events & EPOLLERR != 0 {
             return true;
         }
-        if events & EPOLLOUT != 0 && self.flush().is_err() {
-            return true;
-        }
-        if events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
+        if !self.closing && events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
             match self.fill() {
-                Ok(eof) => {
-                    self.process_lines();
-                    if eof {
-                        self.closing = true;
-                    }
-                }
-                Err(_) => return true,
+                Ok(eof) if self.answer(eof, service) => {}
+                _ => return true,
             }
         }
         if self.flush().is_err() {
@@ -260,173 +360,56 @@ impl Conn {
             obs::WRITE_HIGHWATER_DROPS.inc();
             return true;
         }
-        let pending = self.wpos < self.wbuf.len();
-        if self.closing && !pending {
+        let interest = self.interest();
+        if self.closing && interest == 0 {
             return true;
         }
-        if pending != self.armed_out {
-            self.armed_out = pending;
+        if interest != self.registered {
+            self.registered = interest;
             let fd = self.stream.as_raw_fd();
-            if ctl(epfd, EPOLL_CTL_MOD, fd, self.interest(), fd as u64).is_err() {
+            if ctl(epfd, EPOLL_CTL_MOD, fd, interest, fd as u64).is_err() {
                 return true;
             }
         }
         false
     }
-}
 
-/// One metrics HTTP/1.0 connection, multiplexed on the same epoll
-/// instance as the CQL connections (no extra thread): read the request
-/// head, queue the full response, drain it, close.
-struct HttpConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Response queued — nothing more to read, close once drained.
-    responded: bool,
-    armed_out: bool,
-    last_active: Instant,
-}
-
-impl HttpConn {
-    fn interest(&self) -> u32 {
-        let mut i = EPOLLIN | EPOLLRDHUP;
-        if self.armed_out {
-            i |= EPOLLOUT;
+    /// How long the connection may stay silent before the idle sweep
+    /// reaps it: `--idle-timeout` for CQL (`None` when that is zero), a
+    /// fixed leash for scrapes.
+    fn idle_limit(&self, idle_timeout: Duration) -> Option<Duration> {
+        match self.proto {
+            Proto::Cql(..) => (idle_timeout > Duration::ZERO).then_some(idle_timeout),
+            Proto::Http => Some(HTTP_IDLE_TIMEOUT),
         }
-        i
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+    fn deregister(&self, epfd: i32) {
+        let _ = ctl(epfd, EPOLL_CTL_DEL, self.stream.as_raw_fd(), 0, 0);
     }
-
-    /// Reacts to one readiness report; `true` means deregister + drop.
-    fn handle(&mut self, events: u32, epfd: i32, service: &Arc<IcdbService>) -> bool {
-        if events & EPOLLERR != 0 {
-            return true;
-        }
-        let mut progressed = false;
-        if events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 && !self.responded {
-            let mut eof = false;
-            let mut chunk = [0u8; 4 * 1024];
-            loop {
-                match self.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        self.rbuf.extend_from_slice(&chunk[..n]);
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => return true,
-                }
-            }
-            let head_complete = self.rbuf.windows(2).any(|w| w == b"\n\n")
-                || self.rbuf.windows(4).any(|w| w == b"\r\n\r\n");
-            if head_complete {
-                let text = String::from_utf8_lossy(&self.rbuf);
-                let request_line = text.lines().next().unwrap_or_default().to_string();
-                self.wbuf = http_metrics_response(service, &request_line);
-                self.responded = true;
-            } else if self.rbuf.len() > HTTP_MAX_HEAD {
-                return true;
-            } else if eof {
-                // The peer closed (or half-closed) with the head still
-                // incomplete: no response can ever be produced, and with
-                // level-triggered epoll the readiness would re-fire
-                // forever — drop now. (LB/k8s connect-then-close health
-                // probes land exactly here.)
-                return true;
-            }
-        }
-        let flushed_from = self.wpos;
-        if self.flush().is_err() {
-            return true;
-        }
-        progressed |= self.wpos != flushed_from;
-        if self.responded && self.wpos == self.wbuf.len() {
-            return true;
-        }
-        // Only a wakeup that made progress defers the idle sweep, so a
-        // peer holding a stuck connection open still gets reaped.
-        if progressed {
-            self.last_active = Instant::now();
-        }
-        let pending = self.wpos < self.wbuf.len();
-        if pending != self.armed_out {
-            self.armed_out = pending;
-            let fd = self.stream.as_raw_fd();
-            if ctl(
-                epfd,
-                EPOLL_CTL_MOD,
-                fd,
-                self.interest(),
-                fd as u64 | HTTP_FLAG,
-            )
-            .is_err()
-            {
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Puts a freshly accepted metrics scrape under epoll.
-fn register_http(epfd: i32, stream: TcpStream) -> Option<(u64, HttpConn)> {
-    stream.set_nonblocking(true).ok()?;
-    let fd = stream.as_raw_fd();
-    let token = fd as u64 | HTTP_FLAG;
-    let conn = HttpConn {
-        stream,
-        rbuf: Vec::new(),
-        wbuf: Vec::new(),
-        wpos: 0,
-        responded: false,
-        armed_out: false,
-        last_active: Instant::now(),
-    };
-    ctl(epfd, EPOLL_CTL_ADD, fd, conn.interest(), token).ok()?;
-    Some((token, conn))
 }
 
 // --------------------------------------------------------- worker pool
 
-/// The acceptor → worker handoff channel: sockets parked here until the
-/// worker's eventfd wakes it.
+/// The acceptor → worker handoff channel: admitted sockets, each with its
+/// slot, parked here until the worker's eventfd wakes it.
 struct Inbox {
-    streams: Mutex<Vec<TcpStream>>,
+    streams: Mutex<Vec<(TcpStream, Slot)>>,
     wake_fd: i32,
 }
 
-fn lock_streams(inbox: &Inbox) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
+fn lock_streams(inbox: &Inbox) -> std::sync::MutexGuard<'_, Vec<(TcpStream, Slot)>> {
     inbox.streams.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One worker: a private epoll instance multiplexing its share of the
 /// connections until shutdown. Worker 0 additionally owns the optional
-/// metrics HTTP listener and its scrape connections — multiplexed here
-/// so the endpoint needs no thread model of its own.
+/// metrics HTTP listener; its scrapes join the same connection map.
 fn worker_loop(
     inbox: Arc<Inbox>,
     service: Arc<IcdbService>,
     idle_timeout: Duration,
     shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
     metrics: Option<TcpListener>,
 ) {
     let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -434,7 +417,6 @@ fn worker_loop(
         return;
     }
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut https: HashMap<u64, HttpConn> = HashMap::new();
     let ok = ctl(epfd, EPOLL_CTL_ADD, inbox.wake_fd, EPOLLIN, WAKE_TOKEN).is_ok();
     // A listener that cannot be registered is simply dropped: scrapes fail,
     // the CQL side keeps serving.
@@ -472,14 +454,10 @@ fn worker_loop(
             let readiness = ev.events;
             if token == WAKE_TOKEN {
                 drain(inbox.wake_fd);
-                let fresh: Vec<TcpStream> = lock_streams(&inbox).drain(..).collect();
-                for stream in fresh {
-                    if let Some((token, conn)) = register(epfd, stream, &service) {
-                        conns.insert(token, conn);
-                    } else {
-                        active.fetch_sub(1, Ordering::SeqCst);
-                        obs::CONNECTIONS.dec();
-                    }
+                let fresh: Vec<(TcpStream, Slot)> = lock_streams(&inbox).drain(..).collect();
+                for (stream, slot) in fresh {
+                    let proto = Proto::Cql(service.open_session(), slot);
+                    conns.extend(Conn::register(epfd, stream, proto));
                 }
                 continue;
             }
@@ -488,11 +466,8 @@ fn worker_loop(
                     loop {
                         match listener.accept() {
                             Ok((stream, _)) => {
-                                if let Some((token, conn)) = register_http(epfd, stream) {
-                                    https.insert(token, conn);
-                                }
+                                conns.extend(Conn::register(epfd, stream, Proto::Http));
                             }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                             Err(_) => break,
                         }
@@ -500,64 +475,31 @@ fn worker_loop(
                 }
                 continue;
             }
-            if token & HTTP_FLAG != 0 {
-                let done = match https.get_mut(&token) {
-                    Some(conn) => conn.handle(readiness, epfd, &service),
-                    None => continue,
-                };
-                if done {
-                    if let Some(conn) = https.remove(&token) {
-                        let _ = ctl(epfd, EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
-                    }
-                }
-                continue;
-            }
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            if conn.handle(readiness, epfd) {
+            if conn.handle(readiness, epfd, &service) {
                 if let Some(conn) = conns.remove(&token) {
-                    let _ = ctl(epfd, EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
-                    drop(conn); // drops the Session → namespace cleanup
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    obs::CONNECTIONS.dec();
+                    conn.deregister(epfd);
                 }
             }
         }
         // Idle sweep, on the epoll tick (`WAIT_TIMEOUT_MS`): a connection
-        // silent past the timeout is treated exactly like a disconnect —
-        // its session drops and the namespace is deleted.
-        if idle_timeout > Duration::ZERO {
-            let now = Instant::now();
-            let stale: Vec<u64> = conns
-                .iter()
-                .filter(|(_, c)| now.duration_since(c.last_active) > idle_timeout)
-                .map(|(&token, _)| token)
-                .collect();
-            for token in stale {
-                if let Some(conn) = conns.remove(&token) {
-                    let _ = ctl(epfd, EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
-                    drop(conn);
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    obs::CONNECTIONS.dec();
+        // silent past its limit is treated exactly like a disconnect — a
+        // CQL session drops and its namespace is deleted.
+        let now = Instant::now();
+        conns.retain(|_, conn| {
+            let idle = conn
+                .idle_limit(idle_timeout)
+                .is_some_and(|limit| now.duration_since(conn.last_active) > limit);
+            if idle {
+                if let Proto::Cql(..) = conn.proto {
                     obs::IDLE_TIMEOUT_KILLS.inc();
                 }
+                conn.deregister(epfd);
             }
-        }
-        // Half-open scrapes get a fixed, short leash.
-        if !https.is_empty() {
-            let now = Instant::now();
-            let stale: Vec<u64> = https
-                .iter()
-                .filter(|(_, c)| now.duration_since(c.last_active) > HTTP_IDLE_TIMEOUT)
-                .map(|(&token, _)| token)
-                .collect();
-            for token in stale {
-                if let Some(conn) = https.remove(&token) {
-                    let _ = ctl(epfd, EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
-                }
-            }
-        }
+            !idle
+        });
     }
     // Shutdown (or a broken epoll): the server is going away under the
     // remaining clients, so their sessions are *parked*, not closed —
@@ -565,46 +507,15 @@ fn worker_loop(
     // client can `attach` back to it (the contract
     // `tests/durability_e2e.rs` pins for SIGTERM).
     for (_, conn) in conns.drain() {
-        let _ = ctl(epfd, EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
-        let Conn { session, .. } = conn;
-        session.park();
-        active.fetch_sub(1, Ordering::SeqCst);
-        obs::CONNECTIONS.dec();
-    }
-    for (_, conn) in https.drain() {
-        let _ = ctl(epfd, EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
+        conn.deregister(epfd);
+        if let Proto::Cql(session, _) = conn.proto {
+            session.park();
+        }
     }
     drop(metrics);
     unsafe {
         close(epfd);
     }
-}
-
-/// Puts a freshly admitted socket under epoll: non-blocking mode, a new
-/// session, the greeting queued (and opportunistically flushed). Returns
-/// `None` when the socket is already unusable.
-fn register(epfd: i32, stream: TcpStream, service: &Arc<IcdbService>) -> Option<(u64, Conn)> {
-    stream.set_nonblocking(true).ok()?;
-    let session = service.open_session();
-    let mut conn = Conn {
-        stream,
-        session,
-        rbuf: Vec::new(),
-        scanned: 0,
-        wbuf: Vec::new(),
-        wpos: 0,
-        closing: false,
-        armed_out: false,
-        last_active: Instant::now(),
-    };
-    conn.wbuf.extend_from_slice(
-        format!("OK icdbd ready (session ns{})\n", conn.session.ns().raw()).as_bytes(),
-    );
-    conn.flush().ok()?;
-    conn.armed_out = conn.wpos < conn.wbuf.len();
-    let fd = conn.stream.as_raw_fd();
-    ctl(epfd, EPOLL_CTL_ADD, fd, conn.interest(), fd as u64).ok()?;
-    Some((fd as u64, conn))
 }
 
 // ------------------------------------------------------------ acceptor
@@ -647,10 +558,9 @@ pub(crate) fn serve(
         inboxes.push(Arc::clone(&inbox));
         let service = Arc::clone(&service);
         let shutdown = Arc::clone(&shutdown);
-        let active = Arc::clone(&active);
         let metrics = metrics.take();
         handles.push(std::thread::spawn(move || {
-            worker_loop(inbox, service, idle_timeout, shutdown, active, metrics)
+            worker_loop(inbox, service, idle_timeout, shutdown, metrics)
         }));
     }
     let mut next = 0usize;
@@ -674,9 +584,7 @@ pub(crate) fn serve(
             }
         };
         // Admission policy: refuse politely instead of queueing forever.
-        // `active` counts every admitted, not-yet-closed connection.
-        if active.fetch_add(1, Ordering::SeqCst) >= max_connections {
-            active.fetch_sub(1, Ordering::SeqCst);
+        let Some(slot) = Slot::claim(&active, max_connections) else {
             let mut s = stream;
             let _ = writeln!(
                 s,
@@ -685,12 +593,11 @@ pub(crate) fn serve(
                 max_connections
             );
             continue;
-        }
+        };
         obs::CONNECTIONS_ACCEPTED.inc();
-        obs::CONNECTIONS.inc();
         let inbox = &inboxes[next % inboxes.len()];
         next = next.wrapping_add(1);
-        lock_streams(inbox).push(stream);
+        lock_streams(inbox).push((stream, slot));
         ring(inbox.wake_fd);
     }
     shutdown.store(true, Ordering::SeqCst);

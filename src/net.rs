@@ -27,7 +27,9 @@
 //!
 //! Input fields are `s:<text>`, `d:<int>`, `r:<real>` or `l:<items>`
 //! (string list, items separated by `\u{1f}`). The bare word `quit` (or
-//! `exit`) closes the connection.
+//! `exit`) closes the connection once the replies before it are written.
+//! Anything sent after it is discarded unread, and the close is then a
+//! reset, which can cut off replies the peer has not read yet.
 //!
 //! **Response** — `ERR <code> <message>`, or `OK <n>` followed by `n`
 //! lines, one per `?` output slot in slot order, each `<type> <value>`
@@ -140,14 +142,16 @@ impl ErrCode {
     }
 }
 
-/// The wire code for a server-side execution error: `readonly` for
-/// degraded-mode refusals, `cql` for everything else.
-fn err_code_of(e: &IcdbError) -> ErrCode {
-    match e {
+/// A server-side execution error as its wire code and message:
+/// `readonly` for degraded-mode refusals, `not_primary` on a follower,
+/// `cql` for everything else.
+fn wire_err(e: IcdbError) -> (ErrCode, String) {
+    let code = match e {
         IcdbError::ReadOnly(_) => ErrCode::Readonly,
         IcdbError::NotPrimary(_) => ErrCode::NotPrimary,
         _ => ErrCode::Cql,
-    }
+    };
+    (code, e.to_string())
 }
 
 /// Decodes the remainder of an `ERR ` line into the matching error
@@ -451,10 +455,11 @@ impl Server {
         self.metrics.as_ref().and_then(|l| l.local_addr().ok())
     }
 
-    /// Disconnects a connection that has been silent for `timeout`
-    /// (`Duration::ZERO`, the default, disables the sweep). An idle
-    /// client is treated exactly like one that disconnected: its session
-    /// drops and the namespace is deleted. `icdbd --idle-timeout SECS`.
+    /// Disconnects a connection through which no byte has moved, either
+    /// way, for `timeout` (`Duration::ZERO`, the default, disables the
+    /// sweep). An idle client is treated exactly like one that
+    /// disconnected: its session drops, the namespace is deleted and its
+    /// admission slot is freed. `icdbd --idle-timeout SECS`.
     pub fn set_idle_timeout(&mut self, timeout: Duration) {
         self.idle_timeout = timeout;
     }
@@ -567,10 +572,8 @@ pub(crate) fn attach_session(
             )
         })?;
     let ns = icdb_core::NsId::from_raw(raw);
-    session
-        .attach(ns)
-        .map_err(|e| (err_code_of(&e), e.to_string()))?;
-    let seq = session.commit_seq();
+    session.attach(ns).map_err(wire_err)?;
+    let seq = session.commit_seq().map_err(wire_err)?;
     Ok(Reply::plain(vec![format!("s ns{raw}"), format!("d {seq}")]))
 }
 
@@ -602,19 +605,23 @@ fn answer(
     if fields.next().is_some() {
         return Err(parse("more input fields than % slots".into()));
     }
-    let failed = |e: IcdbError| (err_code_of(&e), e.to_string());
-    let (cmd, outs) = parse_command(&command, &args).map_err(|e| failed(e.into()))?;
+    let (cmd, outs) = parse_command(&command, &args).map_err(|e| wire_err(e.into()))?;
     *slot = obs::command_index(&cmd.name);
-    let response = session.dispatch(&cmd).map_err(failed)?;
-    bind_outputs(&response, &outs, &mut args).map_err(|e| failed(e.into()))?;
+    let response = session.dispatch(&cmd).map_err(wire_err)?;
+    bind_outputs(&response, &outs, &mut args).map_err(|e| wire_err(e.into()))?;
     let read_only = COMMANDS.get(*slot).is_some_and(CommandSpec::read_only);
+    let commit = if read_only {
+        None
+    } else {
+        Some(session.commit_seq().map_err(wire_err)?)
+    };
     Ok(Reply {
         lines: args
             .iter()
             .filter(|a| is_output(a))
             .map(encode_output)
             .collect(),
-        commit: (!read_only).then(|| session.commit_seq()),
+        commit,
         extra: None,
     })
 }
@@ -702,7 +709,7 @@ fn hello_reply(session: &icdb_core::Session) -> Result<Reply, (ErrCode, String)>
     Ok(Reply::plain(vec![
         format!("d {PROTOCOL_VERSION}"),
         format!("s {}", session.service().role()),
-        format!("d {}", session.commit_seq()),
+        format!("d {}", session.commit_seq().map_err(wire_err)?),
     ]))
 }
 
@@ -711,7 +718,9 @@ fn hello_reply(session: &icdb_core::Session) -> Result<Reply, (ErrCode, String)>
 /// follower the sequence advances as replicated events apply, so this is
 /// the read-your-writes barrier: a client that saw `commit:<S>` acked by
 /// the primary calls `wait_seq S` on the follower before reading there.
-/// Times out with `ERR cql` after `timeout_ms` (default 5000, max 60000).
+/// Times out with `ERR cql` after `timeout_ms` (default 5000, max 60000),
+/// and answers `ERR cql` at once, naming the namespace, when the
+/// session's namespace no longer exists.
 fn wait_seq_reply(session: &icdb_core::Session, rest: &str) -> Result<Reply, (ErrCode, String)> {
     let parse = |m: String| (ErrCode::Parse, m);
     let mut words = rest.split_whitespace();
@@ -731,7 +740,7 @@ fn wait_seq_reply(session: &icdb_core::Session, rest: &str) -> Result<Reply, (Er
     let timeout = Duration::from_millis(timeout_ms.min(MAX_WAIT_SEQ_TIMEOUT_MS));
     let deadline = std::time::Instant::now() + timeout;
     loop {
-        let seq = session.commit_seq();
+        let seq = session.commit_seq().map_err(wire_err)?;
         if seq >= target {
             return Ok(Reply::plain(vec![format!("d {seq}")]));
         }
@@ -754,10 +763,7 @@ fn wait_seq_reply(session: &icdb_core::Session, rest: &str) -> Result<Reply, (Er
 /// epoch (WAL sequences are process-local; a changed epoch invalidates a
 /// follower's cursor).
 fn repl_snapshot_reply(session: &icdb_core::Session) -> Result<Reply, (ErrCode, String)> {
-    let snap = session
-        .service()
-        .repl_snapshot()
-        .map_err(|e| (err_code_of(&e), e.to_string()))?;
+    let snap = session.service().repl_snapshot().map_err(wire_err)?;
     let mut lines = Vec::with_capacity(1 + snap.wal_tail.len());
     lines.push(format!("s {}", hex_encode(&snap.snapshot)));
     for record in &snap.wal_tail {
@@ -810,7 +816,7 @@ fn repl_stream_reply(session: &icdb_core::Session, rest: &str) -> Result<Reply, 
     let (batch, epoch) = session
         .service()
         .repl_stream(from, max.clamp(1, 4096), wait)
-        .map_err(|e| (err_code_of(&e), e.to_string()))?;
+        .map_err(wire_err)?;
     Ok(Reply {
         lines: batch
             .events
@@ -970,14 +976,23 @@ impl RetryPolicy {
     }
 }
 
-/// How one executed command failed — decides retry eligibility.
-enum ExecFailure {
+/// How one request failed — decides retry eligibility.
+pub(crate) enum ExecFailure {
     /// The transport died (send or receive): the response may be lost,
     /// and for a mutating command the outcome is ambiguous.
     Net(IcdbError),
     /// The server answered (an `ERR` line, or malformed data): the
     /// outcome is known and retrying cannot change it.
     Server(IcdbError),
+}
+
+impl ExecFailure {
+    /// The error, whichever side failed.
+    pub(crate) fn into_error(self) -> IcdbError {
+        match self {
+            ExecFailure::Net(e) | ExecFailure::Server(e) => e,
+        }
+    }
 }
 
 /// Where a cluster-aware client routes read-only commands.
@@ -1339,7 +1354,6 @@ impl IcdbClient {
     /// One send/receive round of [`IcdbClient::execute`], with failures
     /// split into transport-died versus server-answered.
     fn execute_once(&mut self, command: &str, args: &mut [CqlArg]) -> Result<(), ExecFailure> {
-        let net = |e: io::Error| ExecFailure::Net(net_err(e));
         let mut line = escape(command);
         for arg in args.iter() {
             if let Some(field) = encode_input(arg) {
@@ -1347,18 +1361,8 @@ impl IcdbClient {
                 line.push_str(&field);
             }
         }
-        writeln!(self.writer, "{line}").map_err(net)?;
-        self.writer.flush().map_err(net)?;
-
-        let head = self.read_line().map_err(ExecFailure::Net)?;
-        if let Some(rest) = head.strip_prefix("ERR ") {
-            return Err(ExecFailure::Server(decode_err(rest)));
-        }
-        let (count, commit) = parse_ok_head(&head).map_err(ExecFailure::Server)?;
-        let mut outputs = Vec::with_capacity(count);
-        for _ in 0..count {
-            outputs.push(self.read_line().map_err(ExecFailure::Net)?);
-        }
+        let (head, outputs) = self.request(&line)?;
+        let (_, commit) = parse_ok_head(&head).map_err(ExecFailure::Server)?;
         let mut out_iter = outputs.iter();
         for arg in args.iter_mut() {
             if is_output(arg) {
@@ -1423,10 +1427,9 @@ impl IcdbClient {
                 follower.wait_seq(want_seq, Duration::from_millis(DEFAULT_WAIT_SEQ_TIMEOUT_MS))?;
             }
         }
-        match follower.execute_once(command, args) {
-            Ok(()) => Ok(()),
-            Err(ExecFailure::Net(e) | ExecFailure::Server(e)) => Err(e),
-        }
+        follower
+            .execute_once(command, args)
+            .map_err(ExecFailure::into_error)
     }
 
     /// The versioned `hello` handshake: returns the server's wire
@@ -1517,14 +1520,29 @@ impl IcdbClient {
     /// Sends one wire-verb request line and returns the reply's output
     /// lines (an `ERR` reply as its decoded error).
     fn wire_verb(&mut self, line: &str) -> Result<Vec<String>, IcdbError> {
-        writeln!(self.writer, "{line}").map_err(net_err)?;
-        self.writer.flush().map_err(net_err)?;
-        let head = self.read_line()?;
+        self.request(line)
+            .map(|(_, lines)| lines)
+            .map_err(ExecFailure::into_error)
+    }
+
+    /// One request/response round: sends `line` and returns the `OK …`
+    /// header with its output lines. An `ERR` reply or a malformed header
+    /// is a [`ExecFailure::Server`] answer; a dead socket is
+    /// [`ExecFailure::Net`].
+    pub(crate) fn request(&mut self, line: &str) -> Result<(String, Vec<String>), ExecFailure> {
+        let net = |e: io::Error| ExecFailure::Net(net_err(e));
+        writeln!(self.writer, "{line}").map_err(net)?;
+        self.writer.flush().map_err(net)?;
+        let head = self.read_line().map_err(ExecFailure::Net)?;
         if let Some(rest) = head.strip_prefix("ERR ") {
-            return Err(decode_err(rest));
+            return Err(ExecFailure::Server(decode_err(rest)));
         }
-        let (count, _) = parse_ok_head(&head)?;
-        (0..count).map(|_| self.read_line()).collect()
+        let (count, _) = parse_ok_head(&head).map_err(ExecFailure::Server)?;
+        let lines = (0..count)
+            .map(|_| self.read_line())
+            .collect::<Result<_, _>>()
+            .map_err(ExecFailure::Net)?;
+        Ok((head, lines))
     }
 
     fn read_line(&mut self) -> Result<String, IcdbError> {

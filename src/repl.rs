@@ -10,6 +10,9 @@
 //! `Icdb::apply` choke point recovery uses. Followers therefore converge
 //! on byte-identical state by construction: there is exactly one apply
 //! path, shared by the primary's commits, crash replay, and replication.
+//! Both commands travel through the ordinary [`IcdbClient`] wire client
+//! (no retries of its own: the tail loop redials on a dead transport and
+//! stalls on a server refusal).
 //!
 //! Guarantees and their boundaries:
 //!
@@ -29,11 +32,10 @@
 //!   clears the replica role and checkpoints onto a fresh generation;
 //!   the tail loop notices on its next apply and stops itself.
 
-use crate::net::hex_decode;
+use crate::net::{hex_decode, ExecFailure, IcdbClient, RetryPolicy};
 use icdb_core::{IcdbError, IcdbService, MutationEvent};
 use icdb_obs::metrics as obs;
-use std::io::{self, BufRead as _, BufReader, BufWriter, Write as _};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -52,6 +54,21 @@ const UPSTREAM_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Backoff between reconnect attempts after the upstream drops.
 const RECONNECT_BACKOFF: Duration = Duration::from_millis(200);
+
+/// Dials the upstream primary through the ordinary wire client: a 5 s
+/// connect timeout, [`UPSTREAM_READ_TIMEOUT`], and no retries. The server
+/// opens a throwaway session namespace for the connection, like for any
+/// client.
+fn dial(upstream: &str) -> Result<IcdbClient, IcdbError> {
+    IcdbClient::connect_with(
+        upstream,
+        RetryPolicy {
+            connect_timeout: Some(Duration::from_secs(5)),
+            read_timeout: Some(UPSTREAM_READ_TIMEOUT),
+            ..RetryPolicy::none()
+        },
+    )
+}
 
 /// A running replication follower: the recovered, read-only service plus
 /// the tail thread keeping it converged with the upstream primary.
@@ -115,11 +132,11 @@ pub fn bootstrap(
     let data_dir = data_dir.as_ref();
     refuse_stale_image(data_dir)?;
 
-    let mut conn = ReplConn::connect(upstream)
+    let mut conn = dial(upstream)
         .map_err(|e| IcdbError::Store(format!("replication bootstrap: connect {upstream}: {e}")))?;
     let (head, lines) = conn
         .request("repl_snapshot")
-        .map_err(|e| IcdbError::Store(format!("replication bootstrap: {e}")))?;
+        .map_err(|e| IcdbError::Store(format!("replication bootstrap: {}", e.into_error())))?;
     let generation = head_field(&head, "gen:")
         .ok_or_else(|| IcdbError::Store(format!("repl_snapshot reply lacks gen: `{head}`")))?;
     let durable_seq = head_field(&head, "seq:")
@@ -241,11 +258,11 @@ fn tail_loop(
     let fatal = |reason: String| {
         *stall.lock().unwrap_or_else(|e| e.into_inner()) = Some(reason);
     };
-    let mut conn: Option<ReplConn> = None;
+    let mut conn: Option<IcdbClient> = None;
     while !stop.load(Ordering::SeqCst) {
         let live = match &mut conn {
             Some(live) => live,
-            None => match ReplConn::connect(upstream) {
+            None => match dial(upstream) {
                 Ok(fresh) => conn.insert(fresh),
                 Err(_) => {
                     obs::REPL_RECONNECTS.inc();
@@ -258,7 +275,7 @@ fn tail_loop(
             format!("repl_stream from:{cursor} max:{STREAM_MAX_EVENTS} wait_ms:{STREAM_WAIT_MS}");
         let (head, lines) = match live.request(&request) {
             Ok(reply) => reply,
-            Err(ReplError::Io(_)) => {
+            Err(ExecFailure::Net(_)) => {
                 // The upstream dropped (crash, restart, network): dial
                 // again until it is back or we are stopped.
                 conn = None;
@@ -266,11 +283,11 @@ fn tail_loop(
                 std::thread::sleep(RECONNECT_BACKOFF);
                 continue;
             }
-            Err(ReplError::Server(message)) => {
+            Err(ExecFailure::Server(e)) => {
                 // `repl_stream` refusals are not transient: pruned
                 // history needs a re-bootstrap, anything else operator
                 // attention. Keep serving reads, stop replicating.
-                fatal(format!("upstream refused repl_stream: {message}"));
+                fatal(format!("upstream refused repl_stream: {e}"));
                 return;
             }
         };
@@ -336,103 +353,4 @@ fn decode_event_line(line: &str) -> Option<(u64, MutationEvent)> {
 fn head_field(head: &str, key: &str) -> Option<u64> {
     head.split_whitespace()
         .find_map(|word| word.strip_prefix(key).and_then(|v| v.parse().ok()))
-}
-
-/// How one replication request failed.
-enum ReplError {
-    /// The transport died — reconnect and retry.
-    Io(io::Error),
-    /// The server answered `ERR` — not retriable.
-    Server(String),
-}
-
-impl std::fmt::Display for ReplError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplError::Io(e) => write!(f, "i/o: {e}"),
-            ReplError::Server(m) => write!(f, "upstream: {m}"),
-        }
-    }
-}
-
-/// A raw line-protocol connection for the replication commands. The
-/// regular [`crate::net::IcdbClient`] speaks CQL request/response; the
-/// replication commands have their own header grammar (`gen:`/`seq:`/
-/// `epoch:` words, hex payload lines), so the follower drives the socket
-/// directly.
-struct ReplConn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl ReplConn {
-    /// Dials, applies timeouts, and consumes the greeting (the server
-    /// opens a throwaway session namespace for this connection, like any
-    /// client).
-    fn connect(upstream: &str) -> Result<ReplConn, ReplError> {
-        let addrs: Vec<_> = upstream.to_socket_addrs().map_err(ReplError::Io)?.collect();
-        let mut last: Option<io::Error> = None;
-        let mut stream = None;
-        for addr in &addrs {
-            match TcpStream::connect_timeout(addr, Duration::from_secs(5)) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        let Some(stream) = stream else {
-            return Err(ReplError::Io(
-                last.unwrap_or_else(|| io::ErrorKind::AddrNotAvailable.into()),
-            ));
-        };
-        stream
-            .set_read_timeout(Some(UPSTREAM_READ_TIMEOUT))
-            .map_err(ReplError::Io)?;
-        let mut conn = ReplConn {
-            reader: BufReader::new(stream.try_clone().map_err(ReplError::Io)?),
-            writer: BufWriter::new(stream),
-        };
-        let greeting = conn.read_line()?;
-        if let Some(rest) = greeting.strip_prefix("ERR ") {
-            return Err(ReplError::Server(rest.to_string()));
-        }
-        Ok(conn)
-    }
-
-    /// One request/response round: returns the `OK …` header and its
-    /// payload lines.
-    fn request(&mut self, line: &str) -> Result<(String, Vec<String>), ReplError> {
-        writeln!(self.writer, "{line}").map_err(ReplError::Io)?;
-        self.writer.flush().map_err(ReplError::Io)?;
-        let head = self.read_line()?;
-        if let Some(rest) = head.strip_prefix("ERR ") {
-            return Err(ReplError::Server(rest.to_string()));
-        }
-        let count: usize = head
-            .strip_prefix("OK ")
-            .and_then(|rest| rest.split_whitespace().next())
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| {
-                ReplError::Io(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed reply head `{head}`"),
-                ))
-            })?;
-        let mut lines = Vec::with_capacity(count);
-        for _ in 0..count {
-            lines.push(self.read_line()?);
-        }
-        Ok((head, lines))
-    }
-
-    fn read_line(&mut self) -> Result<String, ReplError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).map_err(ReplError::Io)?;
-        if n == 0 {
-            return Err(ReplError::Io(io::ErrorKind::UnexpectedEof.into()));
-        }
-        Ok(line.trim_end_matches(['\r', '\n']).to_string())
-    }
 }

@@ -345,11 +345,13 @@ fn wait_seq_blocks_until_the_event_arrives_and_times_out_honestly() {
         .expect("catch up to the pre-bootstrap history");
 
     // Block on a sequence that does not exist yet; release it from a
-    // delayed primary mutation.
+    // delayed primary mutation. The writer hands its client back: were it
+    // dropped, the primary would journal the namespace's drop, and the
+    // follower could apply that before the `wait_seq` calls below.
     let writer = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(300));
         mutate(&mut client, 5);
-        client.last_commit_seq()
+        client
     });
     let started = Instant::now();
     let seen = fclient
@@ -361,7 +363,8 @@ fn wait_seq_blocks_until_the_event_arrives_and_times_out_honestly() {
         elapsed >= Duration::from_millis(150),
         "wait_seq returned in {elapsed:?} — it must actually block"
     );
-    let final_seq = writer.join().expect("writer thread");
+    let client = writer.join().expect("writer thread");
+    let final_seq = client.last_commit_seq();
     fclient
         .wait_seq(final_seq, Duration::from_secs(10))
         .expect("full catch-up");
@@ -372,6 +375,7 @@ fn wait_seq_blocks_until_the_event_arrives_and_times_out_honestly() {
         matches!(timeout, Err(IcdbError::Cql(ref m)) if m.contains("timed out")),
         "expected a wait_seq timeout, got {timeout:?}"
     );
+    drop(client);
 
     handle_f.shutdown();
     handle_p.shutdown();
