@@ -120,7 +120,7 @@ impl Icdb {
                 // table and journal the sweep's fresh evaluations into the
                 // durable corpus (a lock-free sweep's recordings flush on
                 // the service's next exclusive pass instead).
-                let (report, resp) = self.exec_explore(ns, cmd)?;
+                let (report, resp) = self.exec_explore(cmd)?;
                 self.publish_exploration(&report)?;
                 self.flush_corpus()?;
                 return Ok(resp);
@@ -178,7 +178,7 @@ impl Icdb {
             "merge_query" => self.exec_merge_query(cmd)?,
             "tool_query" => self.exec_tool_query(cmd)?,
             "cache_query" => self.exec_cache_query(cmd)?,
-            "explore" => self.exec_explore(ns, cmd)?.1,
+            "explore" => self.exec_explore(cmd)?.1,
             "corpus" => self.exec_corpus(cmd)?,
             "persist" => self.exec_persist(cmd)?,
             "metrics" => self.exec_metrics(cmd)?,
@@ -632,7 +632,6 @@ impl Icdb {
     /// exclusive path (embedded [`Icdb::execute`] always refreshes it).
     fn exec_explore(
         &self,
-        ns: NsId,
         cmd: &Command,
     ) -> Result<(icdb_explore::ExplorationReport, Response), IcdbError> {
         let widths: Vec<i64> = cmd
@@ -757,7 +756,7 @@ impl Icdb {
             prune,
         };
 
-        let (report, stats) = self.explore_in_with_stats(ns, &spec)?;
+        let (report, stats) = self.explore_with_stats(&spec)?;
         let winner_metric = |metric: &dyn Fn(&icdb_explore::DesignPoint) -> f64,
                              key: &str|
          -> Result<CqlValue, IcdbError> {

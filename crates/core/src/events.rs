@@ -31,6 +31,12 @@
 //! while the previous one was in flight. The service defers that wait to
 //! outside its locks (see `Icdb::begin_deferred`), so writer throughput
 //! scales with the number of concurrent sessions.
+//!
+//! That enqueue → apply → settle sequence exists once, behind
+//! [`Icdb::commit`]. An install the service already prepared passes its
+//! payload to [`Icdb::apply`]'s install arm as a hint, and the namespace
+//! lifecycle commits with best-effort durability; neither bypasses
+//! `apply`, so the per-namespace commit counter advances in one place.
 
 use crate::cache::GenerationPayload;
 use crate::error::IcdbError;
@@ -237,6 +243,21 @@ impl Applied {
     }
 }
 
+/// Whether a journal failure fails a commit (see [`Icdb::commit_with`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Durability {
+    /// A journal enqueue failure refuses the event unapplied, and a failed
+    /// durability wait fails the commit.
+    Required,
+    /// The namespace lifecycle ([`Icdb::create_namespace`],
+    /// [`Icdb::drop_namespace`]): sessions keep opening and closing on a
+    /// degraded server, so the event applies in memory whatever the
+    /// journal says. This cannot desynchronize replayed namespace ids: a
+    /// faulted log journals nothing until the re-arming checkpoint
+    /// snapshots the full state.
+    BestEffort,
+}
+
 impl MutationEvent {
     /// The namespace whose per-namespace commit counter a successful
     /// apply of this event advances. Global events (knowledge
@@ -274,20 +295,18 @@ impl Icdb {
     /// deterministic: replaying a failed event fails identically and
     /// leaves the same (partial or untouched) state.
     pub fn apply(&mut self, event: &MutationEvent) -> Result<Applied, IcdbError> {
-        let applied = self.apply_inner(event)?;
-        // Successful namespace-scoped applies advance the namespace's
-        // commit counter — replay runs through here too, so the counter
-        // recovers to exactly the acknowledged value.
-        if let Some(ns) = event.commit_scope() {
-            if let Ok(space) = self.spaces.get_mut(ns) {
-                space.commits += 1;
-            }
-        }
-        Ok(applied)
+        self.apply_with(event, None)
     }
 
-    fn apply_inner(&mut self, event: &MutationEvent) -> Result<Applied, IcdbError> {
-        match event {
+    /// [`Icdb::apply`] with an install payload the caller already
+    /// prepared (see [`Icdb::apply_install`]); every other event ignores
+    /// `hint`.
+    fn apply_with(
+        &mut self,
+        event: &MutationEvent,
+        hint: Option<&Arc<GenerationPayload>>,
+    ) -> Result<Applied, IcdbError> {
+        let applied = match event {
             MutationEvent::AcquireKnowledge {
                 iif_source,
                 component_type,
@@ -310,7 +329,7 @@ impl Icdb {
                 Ok(Applied::Unit)
             }
             MutationEvent::InstallComponent { ns, request } => {
-                self.apply_install(*ns, request, None).map(Applied::Name)
+                self.apply_install(*ns, request, hint).map(Applied::Name)
             }
             MutationEvent::GenerateLayout {
                 ns,
@@ -380,7 +399,16 @@ impl Icdb {
                 self.corpus.apply_record(points);
                 Ok(Applied::Unit)
             }
+        }?;
+        // Successful namespace-scoped applies advance the namespace's
+        // commit counter — replay runs through here too, so the counter
+        // recovers to exactly the acknowledged value.
+        if let Some(ns) = event.commit_scope() {
+            if let Ok(space) = self.spaces.get_mut(ns) {
+                space.commits += 1;
+            }
         }
+        Ok(applied)
     }
 
     /// Enqueues the event in the write-ahead log, applies it, then waits
@@ -406,61 +434,56 @@ impl Icdb {
     /// but its durability cannot be acknowledged (the log latches the
     /// error, so no later commit is acknowledged either).
     pub fn commit(&mut self, event: &MutationEvent) -> Result<Applied, IcdbError> {
-        let ticket = self.journal_submit(event)?;
-        let applied = self.apply(event)?;
-        self.settle_ticket(ticket)?;
-        Ok(applied)
+        self.commit_with(event, None, Durability::Required)
     }
 
-    /// Enqueues the event in the journal's commit queue, if one is
-    /// attached, returning the durability ticket. No-op (and infallible)
-    /// for purely in-memory servers. Note `&self`: the group WAL takes
-    /// submissions without exclusive access to the server.
-    pub(crate) fn journal_submit(
-        &self,
+    /// The one journal → apply → settle sequence behind [`Icdb::commit`]:
+    /// `hint` reaches [`Icdb::apply_install`], and `durability` says
+    /// whether a journal failure fails the commit.
+    pub(crate) fn commit_with(
+        &mut self,
         event: &MutationEvent,
-    ) -> Result<Option<crate::persist::WalTicket>, IcdbError> {
-        match self.journal.as_ref() {
-            Some(journal) => journal.submit(event).map(Some).map_err(|e| {
+        hint: Option<&Arc<GenerationPayload>>,
+        durability: Durability,
+    ) -> Result<Applied, IcdbError> {
+        let best_effort = durability == Durability::BestEffort;
+        let ticket = match self.journal.as_ref() {
+            Some(journal) => match journal.submit(event) {
+                Ok(ticket) => Some(ticket),
+                Err(_) if best_effort => None,
                 // A latched fault means the server is degraded: surface
                 // the machine-readable read-only refusal rather than a
                 // generic store error, so clients and the wire layer can
                 // tell "retry after recovery" from "broken request".
-                if journal.fault().is_some() {
-                    IcdbError::ReadOnly(format!("journal refuses writes: {e}"))
-                } else {
-                    IcdbError::Store(format!("journal append failed: {e}"))
+                Err(e) if journal.fault().is_some() => {
+                    return Err(IcdbError::ReadOnly(format!("journal refuses writes: {e}")))
                 }
-            }),
-            None => Ok(None),
-        }
-    }
-
-    /// Settles a commit's durability ticket: waits inline, or buffers it
-    /// when the server is in deferred mode (the service waits after
-    /// dropping its locks — tickets are prefix-closed, so waiting on the
-    /// last one acknowledges all).
-    pub(crate) fn settle_ticket(
-        &mut self,
-        ticket: Option<crate::persist::WalTicket>,
-    ) -> Result<(), IcdbError> {
-        let Some(ticket) = ticket else {
-            return Ok(());
+                Err(e) => return Err(IcdbError::Store(format!("journal append failed: {e}"))),
+            },
+            None => None,
         };
-        match self.deferred_waits.as_mut() {
-            Some(buffer) => {
-                buffer.push(ticket);
-                Ok(())
+        let applied = self.apply_with(event, hint)?;
+        if let Some(ticket) = ticket {
+            // Tickets are prefix-closed: a deferred section waits on the
+            // last one it buffered and so acknowledges them all.
+            match self.deferred_waits.as_mut() {
+                Some(buffer) => buffer.push(ticket),
+                None => {
+                    let durable = ticket.wait();
+                    if !best_effort {
+                        durable?;
+                    }
+                }
             }
-            None => ticket.wait(),
         }
+        Ok(applied)
     }
 
     /// Enters deferred-durability mode: subsequent [`Icdb::commit`]s
     /// buffer their WAL tickets instead of waiting inline. The service's
-    /// exclusive sections run between `begin_deferred` and
-    /// [`Icdb::end_deferred`], then wait on the returned tickets after
-    /// every lock is dropped.
+    /// one commit section runs its mutation between `begin_deferred` and
+    /// [`Icdb::end_deferred`], then waits on the last returned ticket
+    /// after every lock is dropped.
     pub(crate) fn begin_deferred(&mut self) {
         self.deferred_waits = Some(Vec::new());
     }
@@ -506,33 +529,23 @@ impl Icdb {
         Ok(name)
     }
 
-    /// Journals and applies an install, threading the caller's pre-warmed
-    /// payload hint through (see [`Icdb::apply_install`]).
-    pub(crate) fn commit_install(
+    /// Journals and applies one [`MutationEvent::InstallComponent`],
+    /// threading the caller's pre-warmed payload through (see
+    /// [`Icdb::apply_install`]); returns the instance name.
+    pub(crate) fn install_in(
         &mut self,
         ns: NsId,
         request: &ComponentRequest,
         hint: Option<&Arc<GenerationPayload>>,
     ) -> Result<String, IcdbError> {
-        let ticket = if self.journal.is_some() {
-            let event = MutationEvent::InstallComponent {
-                ns,
-                request: request.clone(),
-            };
-            self.journal_submit(&event)?
-        } else {
-            None
+        let event = MutationEvent::InstallComponent {
+            ns,
+            request: request.clone(),
         };
-        let name = self.apply_install(ns, request, hint)?;
-        // This path bypasses `apply` (to thread the hint through), so it
-        // advances the namespace commit counter itself — replay of the
-        // journaled InstallComponent bumps once through `apply`, live
-        // execution bumps once here.
-        if let Ok(space) = self.spaces.get_mut(ns) {
-            space.commits += 1;
-        }
-        self.settle_ticket(ticket)?;
-        Ok(name)
+        let applied = self.commit_with(&event, hint, Durability::Required)?;
+        Ok(applied
+            .into_name()
+            .expect("InstallComponent applies to an instance name"))
     }
 
     /// `DELETE FROM table` + re-insert the recorded rows (the publish

@@ -18,7 +18,6 @@
 
 use crate::error::IcdbError;
 use crate::server::{fan_out, Resolved};
-use crate::space::NsId;
 use crate::spec::ComponentRequest;
 use crate::Icdb;
 use icdb_explore::{DesignPoint, ExplorationReport, Explorer, Objective};
@@ -172,31 +171,12 @@ impl Icdb {
     /// Fails when no candidate matches the spec, and propagates the error
     /// of the first failing grid point in grid order.
     pub fn explore(&self, spec: &ExploreSpec) -> Result<ExplorationReport, IcdbError> {
-        self.explore_in(NsId::ROOT, spec)
-    }
-
-    /// [`Icdb::explore`] against an explicit session namespace. Library
-    /// grids resolve against the shared knowledge base, so no namespace
-    /// changes the report.
-    ///
-    /// # Errors
-    /// As [`Icdb::explore`].
-    pub fn explore_in(&self, ns: NsId, spec: &ExploreSpec) -> Result<ExplorationReport, IcdbError> {
-        Ok(self.explore_in_with_stats(ns, spec)?.0)
+        Ok(self.explore_with_stats(spec)?.0)
     }
 
     /// [`Icdb::explore`] returning the sweep's out-of-band accounting
     /// (evaluated/pruned/hit/miss counts) alongside the report.
     ///
-    /// # Errors
-    /// As [`Icdb::explore`].
-    pub fn explore_with_stats(
-        &self,
-        spec: &ExploreSpec,
-    ) -> Result<(ExplorationReport, SweepStats), IcdbError> {
-        self.explore_in_with_stats(NsId::ROOT, spec)
-    }
-
     /// The full sweep: look up, evaluate the misses, record. Each grid
     /// point is resolved once and looked up once in the corpus by its
     /// canonical key; the points the corpus cannot answer (every point
@@ -209,9 +189,8 @@ impl Icdb {
     /// # Errors
     /// As [`Icdb::explore`], whether the first failing grid point fails at
     /// resolution or at generation.
-    pub fn explore_in_with_stats(
+    pub fn explore_with_stats(
         &self,
-        _ns: NsId,
         spec: &ExploreSpec,
     ) -> Result<(ExplorationReport, SweepStats), IcdbError> {
         let grid = self.explore_grid(spec)?;

@@ -87,6 +87,7 @@ pub use space::NsId;
 pub use spec::{ComponentRequest, Constraints, Source, TargetLevel};
 pub use tools::{GeneratorInfo, ToolManager, ToolStep};
 
+use events::Durability;
 use icdb_store::{Database, FileStore, Value};
 use std::sync::Arc;
 
@@ -255,34 +256,20 @@ impl Icdb {
         if self.repl.is_some() {
             return self.spaces.create_ephemeral();
         }
-        // Degraded tolerance: a faulted journal refuses the enqueue, but
-        // sessions must keep opening — reads still serve. The in-memory
-        // apply proceeds either way; this cannot desynchronize replayed
-        // ids, because a faulted log journals nothing until the
-        // re-arming checkpoint snapshots the full state (this namespace
-        // and the advanced id counter included).
+        // Best effort: a session on a degraded server keeps a memory-only
+        // namespace, which a recovery that never re-armed simply forgets —
+        // it acknowledged no commits.
         let event = MutationEvent::CreateNamespace;
-        let ticket = self.journal_submit(&event).ok().flatten();
-        let ns = self
-            .apply(&event)
+        self.commit_with(&event, None, Durability::BestEffort)
+            .ok()
+            .and_then(Applied::into_namespace)
             .expect("namespace creation is infallible in memory")
-            .into_namespace()
-            .expect("CreateNamespace applies to a namespace");
-        // A durability failure here degrades the server but must not
-        // panic: the session keeps its (memory-only) namespace, which a
-        // recovery that never re-armed simply forgets — it acknowledged
-        // no commits.
-        let _ = self.settle_ticket(ticket);
-        ns
     }
 
     /// Closes a session namespace, deleting every instance it still holds
     /// (design data and relational rows included); returns how many
     /// instances were deleted. Dropping [`NsId::ROOT`] is a no-op.
     pub fn drop_namespace(&mut self, ns: NsId) -> usize {
-        // As `create_namespace`: journal failures degrade, never panic.
-        // Ephemeral (follower-session) namespaces were never journaled,
-        // so their drop isn't either — even after a promotion.
         // A follower never drops a *replicated* namespace locally (e.g. a
         // follower-side session detaching from one): the authoritative
         // drop arrives through the replication stream, and removing the
@@ -290,19 +277,17 @@ impl Icdb {
         if self.repl.is_some() && !ns.is_ephemeral() {
             return 0;
         }
+        // Ephemeral (follower-session) namespaces were never journaled,
+        // so their drop isn't either — even after a promotion.
+        if ns.is_ephemeral() {
+            return self.apply_drop_namespace(ns);
+        }
+        // Best effort, as `create_namespace`.
         let event = MutationEvent::DropNamespace { ns };
-        let ticket = if ns.is_ephemeral() {
-            None
-        } else {
-            self.journal_submit(&event).ok().flatten()
-        };
-        let n = self
-            .apply(&event)
+        self.commit_with(&event, None, Durability::BestEffort)
+            .ok()
+            .and_then(Applied::into_deleted)
             .expect("namespace drop is infallible in memory")
-            .into_deleted()
-            .expect("DropNamespace applies to a deletion count");
-        let _ = self.settle_ticket(ticket);
-        n
     }
 
     /// The apply-side of [`Icdb::drop_namespace`] (shared with recovery

@@ -461,7 +461,6 @@ impl Icdb {
         // where it sat instead of being stranded beyond a record every
         // future replay would stop at.
         let mut recovered_events = 0u64;
-        let mut replayed_len = 0u64;
         for payload in &scan.records {
             match serde::from_bytes::<MutationEvent>(payload) {
                 Ok(event) => {
@@ -470,16 +469,19 @@ impl Icdb {
                     // saw them.
                     let _ = icdb.apply(&event);
                     recovered_events += 1;
-                    replayed_len += 8 + payload.len() as u64;
                 }
                 Err(_) => break,
             }
         }
         // The inner writer never fsyncs per-append: the group layer owns
         // the fsync policy (one per batch in sync mode).
-        let writer =
-            icdb_store::wal::WalWriter::open_at(&wal_path, replayed_len, recovered_events, false)
-                .map_err(|e| store_err("open wal", e))?;
+        let writer = icdb_store::wal::WalWriter::open_at(
+            &wal_path,
+            scan.prefix_len(recovered_events as usize),
+            recovered_events,
+            false,
+        )
+        .map_err(|e| store_err("open wal", e))?;
         icdb.journal = Some(Journal {
             dir,
             generation,
@@ -789,6 +791,61 @@ mod tests {
         assert_eq!(reopened.persist_stats().unwrap().recovered_events, 0);
         assert_eq!(reopened.instance_names().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The on-disk WAL format: a log captured from an earlier build
+    /// recovers to the same namespace, and the same operations journal to
+    /// the same bytes today.
+    #[test]
+    fn a_wal_image_from_an_earlier_build_recovers_byte_for_byte() {
+        const IMAGE: &str = concat!(
+            // CreateNamespace
+            "04000000783ff94e0a000000",
+            // StartDesign { ns: 1, design: "cpu" }
+            "1700000066004ee20500000001000000000000000300000000000000637075",
+            // InstallComponent { ns: 1, component "counter", size 4 }
+            "690000000b92a4a502000000010000000000000000000000010700000000000000636f756e746572",
+            "0000000000000000000100000000000000040000000000000073697a650100000000000000340000",
+            "000000000000000000000000000000000000000000000000000000000000000000",
+            // InstallComponent { ns: 1, implementation "ADDER", size 3 }
+            "67000000511e166c0200000001000000000000000000000000010500000000000000414444455200",
+            "000000000000000100000000000000040000000000000073697a6501000000000000003300000000",
+            "00000000000000000000000000000000000000000000000000000000000000",
+        );
+        let image: Vec<u8> = (0..IMAGE.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&IMAGE[i..i + 2], 16).unwrap())
+            .collect();
+        let ns = crate::space::NsId(1);
+        let recovered_dir = temp_dir("earlier-build");
+        std::fs::create_dir_all(&recovered_dir).unwrap();
+        std::fs::write(recovered_dir.join("wal-0.log"), &image).unwrap();
+        let recovered = Icdb::open_with_sync(&recovered_dir, false).unwrap();
+        let stats = recovered.persist_stats().unwrap();
+        assert_eq!((stats.recovered_events, stats.wal_bytes), (4, 267));
+        let names: Vec<&str> = recovered
+            .instance_names_in(ns)
+            .unwrap()
+            .iter()
+            .map(|n| &**n)
+            .collect();
+        assert_eq!(names, ["counter$1", "adder$2"]);
+        assert_eq!(recovered.commit_seq_in(ns).unwrap(), 3);
+
+        let fresh_dir = temp_dir("same-bytes");
+        {
+            let mut icdb = Icdb::open_with_sync(&fresh_dir, false).unwrap();
+            assert_eq!(icdb.create_namespace(), ns);
+            icdb.start_design_in(ns, "cpu").unwrap();
+            let counter = ComponentRequest::by_component("counter").attribute("size", "4");
+            let adder = ComponentRequest::by_implementation("ADDER").attribute("size", "3");
+            icdb.request_component_in(ns, &counter).unwrap();
+            icdb.request_component_in(ns, &adder).unwrap();
+            icdb.sync_journal().unwrap();
+        }
+        assert_eq!(std::fs::read(fresh_dir.join("wal-0.log")).unwrap(), image);
+        std::fs::remove_dir_all(&recovered_dir).unwrap();
+        std::fs::remove_dir_all(&fresh_dir).unwrap();
     }
 
     #[test]

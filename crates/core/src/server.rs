@@ -129,7 +129,7 @@ impl Icdb {
         ns: NsId,
         request: &ComponentRequest,
     ) -> Result<String, IcdbError> {
-        self.commit_install(ns, request, None)
+        self.install_in(ns, request, None)
     }
 
     /// Generates many components in one call, fanning the *cold* pipeline
@@ -210,10 +210,10 @@ impl Icdb {
         let mut names = Vec::with_capacity(requests.len());
         for (request, slot) in requests.iter().zip(prepared) {
             let name = if matches!(request.source, Source::VhdlNetlist(_)) {
-                self.commit_install(ns, request, None)?
+                self.install_in(ns, request, None)?
             } else {
                 let payload = slot?;
-                self.commit_install(ns, request, Some(&payload))?
+                self.install_in(ns, request, Some(&payload))?
             };
             names.push(name);
         }

@@ -33,6 +33,17 @@
 //!   mutation throughput scales with writer count instead of paying one
 //!   fsync per mutation.
 //!
+//! Every mutating path — session commits, knowledge acquisition, corpus
+//! flushes, replicated events and the session lifecycle — runs through one
+//! private commit section, `IcdbService::commit_section`: shard lock when
+//! the caller names a namespace, write guard, one entry rule, the mutation
+//! with its WAL tickets deferred, guard dropped, then the wait on the last
+//! ticket. The four entry rules (`Entry`) are `Primary` (direct
+//! mutations: refused on a follower or a degraded server), `Rearm` (the
+//! `persist` family, always admitted), `Replica` (replicated events, only
+//! on a healthy follower) and `Lifecycle` (session open, close and attach,
+//! always admitted, with best-effort durability).
+//!
 //! Each [`Session`] owns a private design namespace ([`NsId`]): isolated
 //! instance lists, an independent `impl$N` naming counter and independent
 //! design transactions over the one shared knowledge base. A session's
@@ -242,54 +253,58 @@ impl IcdbService {
         snap
     }
 
-    /// The exclusive commit section shared by every mutating service
-    /// path: journal events are *enqueued* (not fsynced) while `f` runs
-    /// under the write guard, the guard drops — and only then does the
-    /// caller block on the group-commit ticket. Waiting on the **last**
-    /// ticket suffices: WAL batches are drained in sequence order, so a
-    /// later event durable implies every earlier one is.
+    /// The one exclusive commit section every mutating service path runs
+    /// through. It takes `shard`'s lock when the caller names one — commits
+    /// inside one namespace then acknowledge in apply order, while sessions
+    /// on other shards overlap their durability waits (one group fsync
+    /// acknowledges them all) — then the write guard, and refuses up front
+    /// when `entry`'s rule says so. `f` runs with journal events *enqueued*
+    /// (not fsynced); the guard drops, and only then does the caller block
+    /// on the group-commit ticket. Waiting on the **last** ticket
+    /// suffices: WAL batches are drained in sequence order, so a later
+    /// event durable implies every earlier one is.
     ///
     /// When `f` itself fails its error wins (events already enqueued
     /// replay deterministically to the same failure); when `f` succeeds
     /// but the group flush fails, the durability error surfaces — the
     /// mutation is applied in memory but unacknowledged, exactly the
-    /// contract the recovery suite pins.
-    ///
-    /// A server whose journal has latched a durability fault is
-    /// **read-only degraded**: the section refuses up front with
-    /// [`IcdbError::ReadOnly`] instead of running `f`, so no further
-    /// mutation piles onto un-journalable state. Only the checkpoint /
-    /// `persist` path (`allow_degraded`) may enter, because a successful
-    /// checkpoint is exactly what re-arms writes.
-    fn commit_exclusive<T>(
+    /// contract the recovery suite pins — except under
+    /// [`Entry::Lifecycle`], whose durability is best effort.
+    fn commit_section<T>(
         &self,
+        shard: Option<NsId>,
+        entry: Entry,
         f: impl FnOnce(&mut Icdb) -> Result<T, IcdbError>,
     ) -> Result<T, IcdbError> {
-        self.commit_exclusive_inner(false, f)
-    }
-
-    fn commit_exclusive_inner<T>(
-        &self,
-        allow_degraded: bool,
-        f: impl FnOnce(&mut Icdb) -> Result<T, IcdbError>,
-    ) -> Result<T, IcdbError> {
+        let _shard = shard.map(|ns| self.shards.lock(ns));
         let mut guard = self.write();
-        if !allow_degraded {
-            // A follower only mutates through the replication stream;
-            // direct commits must go to the primary. The `persist` family
-            // (`allow_degraded`) stays reachable — `promote:1` is how a
-            // follower becomes writable.
-            if let Some(repl) = &guard.repl {
-                return Err(IcdbError::NotPrimary(format!(
-                    "this node is a replication follower of {}; send mutations to the primary",
-                    repl.upstream
-                )));
+        match entry {
+            Entry::Primary => {
+                if let Some(repl) = &guard.repl {
+                    return Err(IcdbError::NotPrimary(format!(
+                        "this node is a replication follower of {}; send mutations to the primary",
+                        repl.upstream
+                    )));
+                }
+                if let Some(fault) = guard.journal_fault() {
+                    return Err(IcdbError::ReadOnly(format!(
+                        "commits refused while degraded: {fault}"
+                    )));
+                }
             }
-            if let Some(fault) = guard.journal_fault() {
-                return Err(IcdbError::ReadOnly(format!(
-                    "commits refused while degraded: {fault}"
-                )));
+            Entry::Replica => {
+                if guard.repl.is_none() {
+                    return Err(IcdbError::Unsupported(
+                        "not a replication follower (promoted?)".into(),
+                    ));
+                }
+                if let Some(fault) = guard.journal_fault() {
+                    return Err(IcdbError::ReadOnly(format!(
+                        "replication paused while degraded: {fault}"
+                    )));
+                }
             }
+            Entry::Rearm | Entry::Lifecycle => {}
         }
         guard.begin_deferred();
         let result = f(&mut guard);
@@ -301,34 +316,9 @@ impl IcdbService {
         };
         match (result, durable) {
             (Err(e), _) => Err(e),
-            (Ok(_), Err(e)) => Err(e),
-            (Ok(v), Ok(())) => Ok(v),
+            (Ok(_), Err(e)) if entry != Entry::Lifecycle => Err(e),
+            (Ok(v), _) => Ok(v),
         }
-    }
-
-    /// [`IcdbService::commit_exclusive`] serialized through `ns`'s shard:
-    /// commits inside one namespace acknowledge in apply order, while
-    /// sessions on other shards overlap their durability waits (one group
-    /// fsync acknowledges them all).
-    fn with_write<T>(
-        &self,
-        ns: NsId,
-        f: impl FnOnce(&mut Icdb) -> Result<T, IcdbError>,
-    ) -> Result<T, IcdbError> {
-        let _shard = self.shards.lock(ns);
-        self.commit_exclusive(f)
-    }
-
-    /// [`IcdbService::with_write`] for the `persist` command family,
-    /// which must stay reachable on a degraded server — `persist
-    /// checkpoint:1` / `clear_fault:1` is how an operator re-arms writes.
-    fn with_write_allowing_degraded<T>(
-        &self,
-        ns: NsId,
-        f: impl FnOnce(&mut Icdb) -> Result<T, IcdbError>,
-    ) -> Result<T, IcdbError> {
-        let _shard = self.shards.lock(ns);
-        self.commit_exclusive_inner(true, f)
     }
 
     /// Journals any exploration-corpus rows queued by lock-free epoch
@@ -340,7 +330,10 @@ impl IcdbService {
         if !self.read().corpus.has_pending() {
             return;
         }
-        if self.commit_exclusive(|icdb| icdb.flush_corpus()).is_err() {
+        if self
+            .commit_section(None, Entry::Primary, |icdb| icdb.flush_corpus())
+            .is_err()
+        {
             self.read().corpus.discard_pending();
         }
     }
@@ -348,19 +341,13 @@ impl IcdbService {
     /// Opens a new session with a fresh, isolated design namespace.
     pub fn open_session(self: &Arc<Self>) -> Session {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.write();
-        guard.begin_deferred();
-        let ns = guard.create_namespace();
-        let tickets = guard.end_deferred();
-        self.lock_owners().insert(ns.raw(), token);
-        drop(guard);
-        if let Some(ticket) = tickets.last() {
-            // A durability failure degrades the server to read-only but
-            // must not kill the connection path: the session opens with a
-            // memory-only namespace (reads serve; commits refuse), and a
-            // recovery that never re-armed simply forgets it.
-            let _ = ticket.wait();
-        }
+        let ns = self
+            .commit_section(None, Entry::Lifecycle, |icdb| {
+                let ns = icdb.create_namespace();
+                self.lock_owners().insert(ns.raw(), token);
+                Ok(ns)
+            })
+            .expect("a lifecycle section fails only when its closure does");
         Session {
             service: Arc::clone(self),
             ns,
@@ -408,7 +395,7 @@ impl IcdbService {
         connection_text: Option<&str>,
         description: &str,
     ) -> Result<String, IcdbError> {
-        self.commit_exclusive(|icdb| {
+        self.commit_section(None, Entry::Primary, |icdb| {
             icdb.insert_implementation(
                 iif_source,
                 component_type,
@@ -477,46 +464,23 @@ impl IcdbService {
         applied_seq: u64,
         lag_events: u64,
     ) -> Result<(), IcdbError> {
-        let mut guard = self.write();
-        if guard.repl.is_none() {
-            return Err(IcdbError::Unsupported(
-                "not a replication follower (promoted?)".into(),
-            ));
-        }
-        if let Some(fault) = guard.journal_fault() {
-            return Err(IcdbError::ReadOnly(format!(
-                "replication paused while degraded: {fault}"
-            )));
-        }
-        guard.begin_deferred();
-        let mut result = Ok(());
-        for event in events {
-            if let Err(e) = guard.commit(event) {
+        self.commit_section(None, Entry::Replica, |icdb| {
+            for event in events {
                 // Apply errors are deterministic re-runs of failures the
                 // primary already returned to its client (the event is
                 // journaled either way — replay hits the same error);
                 // only journaling failures stop the batch.
-                match e {
-                    IcdbError::ReadOnly(_) | IcdbError::Store(_) => {
-                        result = Err(e);
-                        break;
-                    }
-                    _ => {}
+                if let Err(e @ (IcdbError::ReadOnly(_) | IcdbError::Store(_))) = icdb.commit(event)
+                {
+                    return Err(e);
                 }
             }
-        }
-        let tickets = guard.end_deferred();
-        if result.is_ok() {
-            if let Some(repl) = guard.repl.as_mut() {
+            if let Some(repl) = icdb.repl.as_mut() {
                 repl.applied_seq = applied_seq;
                 repl.lag_events = lag_events;
             }
-        }
-        drop(guard);
-        if let Some(ticket) = tickets.last() {
-            ticket.wait()?;
-        }
-        result
+            Ok(())
+        })
     }
 
     /// Serves a replication bootstrap image: the current generation's
@@ -546,16 +510,11 @@ impl IcdbService {
             icdb_store::wal::read_snapshot_file(&journal.data_dir().snapshot_path(generation))
                 .map_err(|e| IcdbError::Store(format!("read snapshot for bootstrap: {e}")))?
                 .unwrap_or_default();
-        let wal_path = journal.data_dir().wal_path(generation);
-        let wal_tail = if durable_bytes == 0 {
-            Vec::new()
-        } else {
-            let mut reader = icdb_store::wal::WalTailReader::open(&wal_path)
-                .map_err(|e| IcdbError::Store(format!("open wal tail for bootstrap: {e}")))?;
-            reader
-                .read_to(durable_bytes)
-                .map_err(|e| IcdbError::Store(format!("read wal tail for bootstrap: {e}")))?
-        };
+        let wal_tail = icdb_store::wal::read_wal_prefix(
+            &journal.data_dir().wal_path(generation),
+            durable_bytes,
+        )
+        .map_err(|e| IcdbError::Store(format!("read wal tail for bootstrap: {e}")))?;
         Ok(ReplSnapshot {
             generation,
             durable_seq,
@@ -594,6 +553,33 @@ impl IcdbService {
             .map_err(|e| IcdbError::Store(format!("repl stream: {e}")))?;
         Ok((batch, epoch))
     }
+}
+
+/// Who may enter [`IcdbService::commit_section`], and whether its
+/// durability wait may fail the caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    /// Direct mutations: refused with [`IcdbError::NotPrimary`] on a
+    /// follower (writes arrive only through replication) and with
+    /// [`IcdbError::ReadOnly`] while a durability fault is latched, so no
+    /// mutation piles onto un-journalable state.
+    Primary,
+    /// The `persist` family: always admitted, because `persist
+    /// checkpoint:1` / `clear_fault:1` is what re-arms a degraded server
+    /// and `promote:1` is how a follower becomes writable.
+    Rearm,
+    /// Replicated events: refused with [`IcdbError::Unsupported`] unless
+    /// this node is a follower (the tail loop stops on it after a
+    /// promotion), and with [`IcdbError::ReadOnly`] while the follower's
+    /// own journal has latched a fault — replay pauses rather than diverge
+    /// from what a restart would recover.
+    Replica,
+    /// Session open, close and attach: always admitted, and a failed
+    /// durability wait is ignored. These are the connection, drop and
+    /// reconnect paths, which must keep working on a degraded server; a
+    /// namespace whose creation or drop never became durable is forgotten,
+    /// or resurrected empty, by a recovery that never re-armed.
+    Lifecycle,
 }
 
 /// A replication bootstrap image (see [`IcdbService::repl_snapshot`]).
@@ -722,22 +708,19 @@ impl Session {
     /// group flush is swallowed rather than panicking — the deletion
     /// replays from the journal prefix either way.
     fn release(&mut self) -> usize {
-        let _shard = self.service.shards.lock(self.ns);
-        let mut guard = self.service.write();
-        let mut owners = self.service.lock_owners();
-        if owners.get(&self.ns.raw()) != Some(&self.token) {
-            return 0;
-        }
-        owners.remove(&self.ns.raw());
-        drop(owners);
-        guard.begin_deferred();
-        let deleted = guard.drop_namespace(self.ns);
-        let tickets = guard.end_deferred();
-        drop(guard);
-        if let Some(ticket) = tickets.last() {
-            let _ = ticket.wait();
-        }
-        deleted
+        let (ns, token) = (self.ns, self.token);
+        let service = &self.service;
+        service
+            .commit_section(Some(ns), Entry::Lifecycle, |icdb| {
+                let mut owners = service.lock_owners();
+                if owners.get(&ns.raw()) != Some(&token) {
+                    return Ok(0);
+                }
+                owners.remove(&ns.raw());
+                drop(owners);
+                Ok(icdb.drop_namespace(ns))
+            })
+            .unwrap_or(0)
     }
 
     /// Re-binds this session to an existing namespace, dropping the one it
@@ -760,33 +743,22 @@ impl Session {
         if ns == self.ns {
             return Ok(());
         }
-        let mut guard = self.service.write();
-        guard.spaces.get(ns)?;
-        let old = self.ns;
+        let (old, token) = (self.ns, self.token);
+        let service = &self.service;
+        service.commit_section(None, Entry::Lifecycle, |icdb| {
+            icdb.spaces.get(ns)?;
+            // Steal ownership of the target; release the old namespace
+            // only if it was still ours.
+            let mut owners = service.lock_owners();
+            owners.insert(ns.raw(), token);
+            if owners.get(&old.raw()) == Some(&token) {
+                owners.remove(&old.raw());
+                drop(owners);
+                icdb.drop_namespace(old);
+            }
+            Ok(())
+        })?;
         self.ns = ns;
-        // Steal ownership of the target; release the old namespace only
-        // if it was still ours.
-        let mut owners = self.service.lock_owners();
-        owners.insert(ns.raw(), self.token);
-        let owned_old = owners.get(&old.raw()) == Some(&self.token);
-        if owned_old {
-            owners.remove(&old.raw());
-        }
-        drop(owners);
-        let tickets = if owned_old {
-            guard.begin_deferred();
-            guard.drop_namespace(old);
-            guard.end_deferred()
-        } else {
-            Vec::new()
-        };
-        drop(guard);
-        if let Some(ticket) = tickets.last() {
-            // Attach must keep working on a degraded server (it is the
-            // reconnect path); the old namespace's drop not being durable
-            // only means a never-re-armed recovery resurrects it, empty.
-            let _ = ticket.wait();
-        }
         Ok(())
     }
 
@@ -820,9 +792,10 @@ impl Session {
                 }
             }
         };
-        self.service.with_write(self.ns, |icdb| {
-            icdb.commit_install(self.ns, request, hint.as_ref())
-        })
+        self.service
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.install_in(self.ns, request, hint.as_ref())
+            })
     }
 
     /// Batch generation in this session's namespace: prepares (cold work
@@ -839,9 +812,10 @@ impl Session {
     ) -> Result<Vec<String>, IcdbError> {
         let epoch = self.service.epoch();
         let prepared = epoch.prepare_batch(NsId::ROOT, requests, workers);
-        self.service.with_write(self.ns, |icdb| {
-            icdb.install_batch_in(self.ns, requests, prepared)
-        })
+        self.service
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.install_batch_in(self.ns, requests, prepared)
+            })
     }
 
     /// Executes one CQL command in this session's namespace: parses it
@@ -888,16 +862,13 @@ impl Session {
                 return Ok(response);
             }
         }
-        if route.rearms {
-            // `persist` is the re-arming path; a degraded server or a
-            // follower must still run its checkpoint / clear_fault /
-            // promote dispatch.
-            return self
-                .service
-                .with_write_allowing_degraded(self.ns, |icdb| icdb.dispatch_in(self.ns, cmd));
-        }
+        let entry = if route.rearms {
+            Entry::Rearm
+        } else {
+            Entry::Primary
+        };
         self.service
-            .with_write(self.ns, |icdb| icdb.dispatch_in(self.ns, cmd))
+            .commit_section(Some(self.ns), entry, |icdb| icdb.dispatch_in(self.ns, cmd))
     }
 
     /// Runs a design-space exploration sweep in this session against the
@@ -910,7 +881,7 @@ impl Session {
         &self,
         spec: &crate::explore::ExploreSpec,
     ) -> Result<icdb_explore::ExplorationReport, IcdbError> {
-        let report = self.service.epoch().explore_in(NsId::ROOT, spec)?;
+        let report = self.service.epoch().explore(spec)?;
         // Cold evaluations above queued corpus rows on the (shared)
         // epoch snapshot; journal them so the corpus survives restart.
         self.service.flush_corpus();
@@ -984,7 +955,9 @@ impl Session {
             return Ok(cif);
         }
         self.service
-            .with_write(self.ns, |icdb| icdb.cif_layout_in(self.ns, name))
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.cif_layout_in(self.ns, name)
+            })
     }
 
     /// Regenerates a layout with explicit alternative/port choices
@@ -998,9 +971,10 @@ impl Session {
         alternative: Option<usize>,
         port_positions: Option<&str>,
     ) -> Result<Arc<str>, IcdbError> {
-        self.service.with_write(self.ns, |icdb| {
-            icdb.generate_layout_in(self.ns, instance, alternative, port_positions)
-        })
+        self.service
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.generate_layout_in(self.ns, instance, alternative, port_positions)
+            })
     }
 
     /// Re-estimates an instance under different loads (exclusive commit
@@ -1014,9 +988,10 @@ impl Session {
         loads: &LoadSpec,
         clock_width: f64,
     ) -> Result<(), IcdbError> {
-        self.service.with_write(self.ns, |icdb| {
-            icdb.resize_for_load_in(self.ns, instance, loads, clock_width)
-        })
+        self.service
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.resize_for_load_in(self.ns, instance, loads, clock_width)
+            })
     }
 
     /// Names of this session's instances, in creation order.
@@ -1039,7 +1014,9 @@ impl Session {
     /// See [`Icdb::start_design`].
     pub fn start_design(&self, name: &str) -> Result<(), IcdbError> {
         self.service
-            .with_write(self.ns, |icdb| icdb.start_design_in(self.ns, name))
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.start_design_in(self.ns, name)
+            })
     }
 
     /// `start_a_transaction` in this session (exclusive commit section).
@@ -1048,7 +1025,9 @@ impl Session {
     /// See [`Icdb::start_transaction`].
     pub fn start_transaction(&self, design: &str) -> Result<(), IcdbError> {
         self.service
-            .with_write(self.ns, |icdb| icdb.start_transaction_in(self.ns, design))
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.start_transaction_in(self.ns, design)
+            })
     }
 
     /// `put_in_component_list` in this session (exclusive commit section).
@@ -1056,9 +1035,10 @@ impl Session {
     /// # Errors
     /// See [`Icdb::put_in_component_list`].
     pub fn put_in_component_list(&self, design: &str, instance: &str) -> Result<(), IcdbError> {
-        self.service.with_write(self.ns, |icdb| {
-            icdb.put_in_component_list_in(self.ns, design, instance)
-        })
+        self.service
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.put_in_component_list_in(self.ns, design, instance)
+            })
     }
 
     /// `end_a_transaction` in this session (exclusive commit section).
@@ -1067,7 +1047,9 @@ impl Session {
     /// See [`Icdb::end_transaction`].
     pub fn end_transaction(&self, design: &str) -> Result<usize, IcdbError> {
         self.service
-            .with_write(self.ns, |icdb| icdb.end_transaction_in(self.ns, design))
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.end_transaction_in(self.ns, design)
+            })
     }
 
     /// `end_a_design` in this session (exclusive commit section).
@@ -1076,7 +1058,9 @@ impl Session {
     /// See [`Icdb::end_design`].
     pub fn end_design(&self, design: &str) -> Result<usize, IcdbError> {
         self.service
-            .with_write(self.ns, |icdb| icdb.end_design_in(self.ns, design))
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
+                icdb.end_design_in(self.ns, design)
+            })
     }
 
     /// Knowledge acquisition through this session (global effect: the
@@ -1189,6 +1173,52 @@ mod tests {
         // The new owner's close does delete it.
         assert_eq!(fresh.close(), 1);
         assert!(service.read().instance_names_in(target).is_err());
+    }
+
+    /// Typed, batched and CQL installs each advance a session's commit
+    /// counter once per instance, and recovery replays the same counts.
+    #[test]
+    fn install_paths_agree_on_the_commit_counter_live_and_recovered() {
+        let dir = std::env::temp_dir().join(format!(
+            "icdb-service-commit-seq-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let requests = [
+            ComponentRequest::by_component("counter").attribute("size", "4"),
+            ComponentRequest::by_implementation("ADDER").attribute("size", "3"),
+        ];
+        let service = Arc::new(IcdbService::open(&dir).unwrap());
+        let typed = service.open_session();
+        for request in &requests {
+            typed.request_component(request).unwrap();
+        }
+        let batched = service.open_session();
+        batched.request_components_batch(&requests, 2).unwrap();
+        let cql = service.open_session();
+        for terms in [
+            "component_name:counter; attribute:(size:4)",
+            "implementation:ADDER; attribute:(size:3)",
+        ] {
+            let line = format!("command:request_component; {terms}; generated_component:?s");
+            cql.execute(&line, &mut [CqlArg::OutStr(None)]).unwrap();
+        }
+        let live: Vec<(NsId, u64)> = [typed, batched, cql]
+            .into_iter()
+            .map(|session| {
+                let seq = (session.ns(), session.commit_seq().unwrap());
+                session.park();
+                seq
+            })
+            .collect();
+        assert!(live.iter().all(|&(_, seq)| seq == 2), "{live:?}");
+        drop(service);
+        let reopened = IcdbService::open(&dir).unwrap();
+        for (ns, seq) in live {
+            assert_eq!(reopened.read().commit_seq_in(ns).unwrap(), seq);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

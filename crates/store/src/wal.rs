@@ -26,10 +26,20 @@
 //! [len: u32 LE] [crc32(payload): u32 LE] [payload bytes]
 //! ```
 //!
+//! One private codec — `encode_frame`, `decode_frame` and `frame_len` — is
+//! the only code that knows this layout. [`WalWriter::append`] encodes with
+//! it, [`GroupWal`] counts bytes with it, and every reader decodes with it:
+//! [`scan_wal`] (recovery), [`read_wal_prefix`] (a replication bootstrap's
+//! bounded read of the durable prefix) and [`WalScan::prefix_len`] (the
+//! byte length recovery cuts the log back to).
+//!
 //! Appends optionally `fsync` (fdatasync) before returning, making each
 //! committed record crash-durable. A reader stops at the first record whose
-//! length overruns the file or whose checksum mismatches — by construction
-//! that is a torn tail, and [`WalWriter::open`] truncates it away.
+//! length exceeds the cap or overruns the bytes read, or whose checksum
+//! mismatches — by construction that is a torn tail, and
+//! [`WalWriter::open`] truncates it away. An all-zero header decodes as a
+//! valid empty record (the CRC-32 of no bytes is 0), so zeros past the end
+//! of the log would read as records.
 //!
 //! For concurrent committers, [`GroupWal`] layers *group commit* over a
 //! `WalWriter`: committers enqueue records and one leader per batch writes
@@ -97,6 +107,54 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // -------------------------------------------------------------------- WAL
 
+/// Bytes of framing ahead of every WAL payload: `[len][crc32]`.
+const FRAME_HEADER: usize = 8;
+
+/// On-disk size of the frame holding a `payload_len`-byte record.
+fn frame_len(payload_len: usize) -> u64 {
+    (FRAME_HEADER + payload_len) as u64
+}
+
+/// The record length field of `payload`, refusing records over
+/// [`MAX_RECORD_LEN`].
+fn record_len(payload: &[u8]) -> io::Result<u32> {
+    u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_RECORD_LEN)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("WAL record of {} bytes exceeds the limit", payload.len()),
+            )
+        })
+}
+
+/// Frames one record: length, checksum, payload.
+fn encode_frame(payload: &[u8]) -> io::Result<Vec<u8>> {
+    let len = record_len(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
+/// Decodes the frame at the start of `bytes` into its payload and the
+/// frame's length. `None` when no complete, checksum-valid frame starts
+/// there: a short header, a length over [`MAX_RECORD_LEN`] (checked first,
+/// so the frame's end offset cannot overflow), a payload overrunning
+/// `bytes`, or a checksum mismatch.
+fn decode_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
+    let header = bytes.get(..FRAME_HEADER)?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    if len > MAX_RECORD_LEN {
+        return None;
+    }
+    let payload = bytes.get(FRAME_HEADER..FRAME_HEADER + len as usize)?;
+    (crc32(payload) == crc).then_some((payload, FRAME_HEADER + payload.len()))
+}
+
 /// Result of scanning a WAL file.
 #[derive(Debug, Clone, Default)]
 pub struct WalScan {
@@ -108,116 +166,59 @@ pub struct WalScan {
     pub torn: bool,
 }
 
+impl WalScan {
+    /// Decodes the run of valid frames at the start of `bytes`.
+    fn decode(bytes: &[u8]) -> WalScan {
+        let mut scan = WalScan::default();
+        let mut at = 0usize;
+        while let Some((payload, len)) = decode_frame(&bytes[at..]) {
+            scan.records.push(payload.to_vec());
+            at += len;
+        }
+        scan.valid_len = at as u64;
+        scan.torn = at < bytes.len();
+        scan
+    }
+
+    /// Byte length of the log holding only the first `records` records:
+    /// where recovery cuts a log whose later records it cannot use.
+    ///
+    /// # Panics
+    /// If `records` exceeds the number of records scanned.
+    pub fn prefix_len(&self, records: usize) -> u64 {
+        self.records[..records]
+            .iter()
+            .map(|payload| frame_len(payload.len()))
+            .sum()
+    }
+}
+
 /// Reads every valid record of a WAL file. A missing file scans as empty;
 /// a torn or corrupt tail ends the scan (`torn = true`) without failing.
 ///
 /// # Errors
 /// Propagates I/O errors other than "file not found".
 pub fn scan_wal(path: &Path) -> io::Result<WalScan> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalScan::default()),
-        Err(e) => return Err(e),
-    };
-    let mut scan = WalScan::default();
-    let mut at = 0usize;
-    while bytes.len() - at >= 8 {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-        let Some(end) = (at + 8).checked_add(len as usize) else {
-            break;
-        };
-        if len > MAX_RECORD_LEN || end > bytes.len() {
-            break;
-        }
-        let payload = &bytes[at + 8..end];
-        if crc32(payload) != crc {
-            break;
-        }
-        scan.records.push(payload.to_vec());
-        at = end;
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(WalScan::decode(&bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(WalScan::default()),
+        Err(e) => Err(e),
     }
-    scan.valid_len = at as u64;
-    scan.torn = at < bytes.len();
-    Ok(scan)
 }
 
-/// An incremental, bounded reader over a live WAL file: the tailing
-/// counterpart of [`scan_wal`] used by replication to serve a bootstrap.
-/// Each [`WalTailReader::read_to`] call decodes the complete frames
-/// between the current offset and an explicit byte limit — the caller
-/// passes the log's *durable* byte extent, so a record that is written
-/// but not yet fsynced (or mid-write by the group-commit leader) is never
-/// surfaced.
-#[derive(Debug)]
-pub struct WalTailReader {
-    file: File,
-    offset: u64,
-}
-
-impl WalTailReader {
-    /// Opens a reader positioned at the start of the file.
-    ///
-    /// # Errors
-    /// Propagates I/O errors (including a missing file).
-    pub fn open(path: &Path) -> io::Result<WalTailReader> {
-        Ok(WalTailReader {
-            file: File::open(path)?,
-            offset: 0,
-        })
-    }
-
-    /// The byte offset the next [`WalTailReader::read_to`] resumes from.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Reads every complete, checksum-valid frame between the current
-    /// offset and `limit` (exclusive), returning the payloads in append
-    /// order and advancing the offset past them. A frame that overruns
-    /// `limit` or fails its checksum ends the read without error — with
-    /// `limit` set to the durable extent that cannot happen, but a
-    /// defensive reader must not propagate garbage.
-    ///
-    /// # Errors
-    /// Propagates I/O errors.
-    pub fn read_to(&mut self, limit: u64) -> io::Result<Vec<Vec<u8>>> {
-        if limit <= self.offset {
-            return Ok(Vec::new());
-        }
-        self.file.seek(SeekFrom::Start(self.offset))?;
-        let mut bytes = vec![0u8; (limit - self.offset) as usize];
-        let mut filled = 0usize;
-        while filled < bytes.len() {
-            match self.file.read(&mut bytes[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        bytes.truncate(filled);
-        let mut payloads = Vec::new();
-        let mut at = 0usize;
-        while bytes.len() - at >= 8 {
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-            let Some(end) = (at + 8).checked_add(len as usize) else {
-                break;
-            };
-            if len > MAX_RECORD_LEN || end > bytes.len() {
-                break;
-            }
-            let payload = &bytes[at + 8..end];
-            if crc32(payload) != crc {
-                break;
-            }
-            payloads.push(payload.to_vec());
-            at = end;
-        }
-        self.offset += at as u64;
-        Ok(payloads)
-    }
+/// Reads the records of a live WAL file that lie wholly within its first
+/// `limit` bytes — replication passes the log's durable extent (see
+/// [`GroupWal::durable_extent`]), so a record that is written but not yet
+/// fsynced, or mid-write by the group-commit leader, is never returned.
+/// Decoding is [`scan_wal`]'s: the read stops at the first frame that
+/// overruns `limit` or fails its checksum.
+///
+/// # Errors
+/// Propagates I/O errors, a missing file included.
+pub fn read_wal_prefix(path: &Path, limit: u64) -> io::Result<Vec<Vec<u8>>> {
+    let mut bytes = Vec::new();
+    File::open(path)?.take(limit).read_to_end(&mut bytes)?;
+    Ok(WalScan::decode(&bytes).records)
 }
 
 /// An append-only writer over one WAL file.
@@ -289,19 +290,7 @@ impl WalWriter {
     /// Propagates I/O errors; on failure the file may hold a torn record,
     /// which the next [`WalWriter::open`] truncates away.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|&l| l <= MAX_RECORD_LEN)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("WAL record of {} bytes exceeds the limit", payload.len()),
-                )
-            })?;
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let frame = encode_frame(payload)?;
         match crate::fail::fire("wal.append") {
             Some(crate::fail::Injected::ShortWrite(e)) => {
                 // Model a torn record: half the frame reaches the disk
@@ -539,19 +528,14 @@ impl GroupWal {
     /// # Errors
     /// Oversized records and a previously latched I/O error.
     pub fn submit(&self, payload: Vec<u8>) -> io::Result<u64> {
-        if payload.len() > MAX_RECORD_LEN as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("WAL record of {} bytes exceeds the limit", payload.len()),
-            ));
-        }
+        record_len(&payload)?;
         let mut state = self.lock();
         if let Some(e) = GroupWal::latched(&state.error) {
             return Err(e);
         }
         state.enqueued_seq += 1;
         state.records += 1;
-        state.bytes += 8 + payload.len() as u64;
+        state.bytes += frame_len(payload.len());
         state.queue.push(payload);
         let seq = state.enqueued_seq;
         drop(state);
@@ -620,7 +604,7 @@ impl GroupWal {
                 result = Err(e);
                 break;
             }
-            batch_bytes += 8 + payload.len() as u64;
+            batch_bytes += frame_len(payload.len());
         }
         if result.is_ok() && self.sync && !batch.is_empty() {
             let sync_start = Instant::now();
@@ -785,11 +769,6 @@ impl GroupWal {
         self.lock().bytes
     }
 
-    /// Sequence number of the most recently enqueued record.
-    pub fn enqueued_seq(&self) -> u64 {
-        self.lock().enqueued_seq
-    }
-
     /// The durable extent as one consistent triple — `(sequence, bytes,
     /// records)` all observed under a single lock acquisition, so a
     /// replication bootstrap reading the file up to `bytes` sees exactly
@@ -860,16 +839,6 @@ impl GroupWal {
                 .unwrap_or_else(PoisonError::into_inner);
             state = s;
         }
-    }
-
-    /// Whether each batch is fsynced before its committers are woken.
-    pub fn sync_mode(&self) -> bool {
-        self.sync
-    }
-
-    /// The configured commit window.
-    pub fn window(&self) -> Duration {
-        self.window
     }
 }
 
@@ -1373,33 +1342,52 @@ mod tests {
     }
 
     #[test]
-    fn tail_reader_reads_incrementally_up_to_a_durable_limit() {
-        let dir = temp_dir("tail-reader");
+    fn durable_prefix_read_stops_at_the_durable_limit() {
+        let dir = temp_dir("prefix-read");
         let path = dir.join("wal-0.log");
         let (mut w, _) = WalWriter::open(&path, false).unwrap();
         w.append(b"first").unwrap();
-        let after_first = w.bytes();
         w.append(b"second").unwrap();
         let after_second = w.bytes();
-
-        let mut tail = WalTailReader::open(&path).unwrap();
-        // Bounded: a limit inside the second frame yields only the first.
+        // A limit inside the second frame yields only the first record,
+        // even though the whole frame is on disk.
         assert_eq!(
-            tail.read_to(after_second - 3).unwrap(),
+            read_wal_prefix(&path, after_second - 3).unwrap(),
             vec![b"first".to_vec()]
         );
-        assert_eq!(tail.offset(), after_first);
-        // Incremental: the next read resumes where the last stopped.
         assert_eq!(
-            tail.read_to(after_second).unwrap(),
-            vec![b"second".to_vec()]
+            read_wal_prefix(&path, after_second).unwrap(),
+            vec![b"first".to_vec(), b"second".to_vec()]
         );
-        assert_eq!(tail.offset(), after_second);
-        // Caught up: nothing more below the limit.
-        assert!(tail.read_to(after_second).unwrap().is_empty());
-        // New appends become visible once the limit advances.
-        w.append(b"third").unwrap();
-        assert_eq!(tail.read_to(w.bytes()).unwrap(), vec![b"third".to_vec()]);
+        assert!(read_wal_prefix(&path, 0).unwrap().is_empty());
+        // A missing log is an error, not an empty prefix.
+        assert!(read_wal_prefix(&dir.join("wal-9.log"), 1).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The on-disk frame layout, pinned as literal bytes.
+    #[test]
+    fn frames_match_the_on_disk_format() {
+        // The CRC-32 of an empty payload is 0, so an empty record frames
+        // as eight zero bytes: a zero-filled tail reads as empty records.
+        assert_eq!(encode_frame(b"").unwrap(), [0u8; 8]);
+        assert_eq!(
+            encode_frame(b"abc").unwrap(),
+            [0x03, 0x00, 0x00, 0x00, 0xc2, 0x41, 0x24, 0x35, b'a', b'b', b'c']
+        );
+        let dir = temp_dir("format");
+        let path = dir.join("wal-0.log");
+        #[rustfmt::skip]
+        let image = [
+            0x03, 0x00, 0x00, 0x00, 0xc2, 0x41, 0x24, 0x35, b'a', b'b', b'c',
+            0x05, 0x00, 0x00, 0x00, 0x86, 0xa6, 0x10, 0x36, b'h', b'e', b'l', b'l', b'o',
+        ];
+        std::fs::write(&path, image).unwrap();
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.records, vec![b"abc".to_vec(), b"hello".to_vec()]);
+        assert_eq!(scan.valid_len, image.len() as u64);
+        assert!(!scan.torn);
+        assert_eq!(scan.prefix_len(1), 11);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
