@@ -12,9 +12,13 @@
 //! or under a shared lock — and `dispatch_in` runs the mutating rows plus
 //! the exclusive-only side effects of the read-only ones (layout
 //! generation, relational publishing, checkpoints) before handing over to
-//! the same read handler.
+//! the same read handler. Generation runs before it, in
+//! `Icdb::prepare_command` (on the service's epoch snapshot): a component
+//! request is pre-warmed and an `explore` sweeps, so a publishing sweep
+//! only journals its rows inside the commit section.
 
 use crate::error::IcdbError;
+use crate::server::Hints;
 use crate::space::NsId;
 use crate::spec::{ComponentRequest, Source, TargetLevel};
 use crate::Icdb;
@@ -22,16 +26,15 @@ use icdb_cql::{
     bind_outputs, command_spec, parse_command, Command, CommandSpec, CqlArg, CqlValue, Response,
     Tier,
 };
+use icdb_explore::ExplorationReport;
 
 /// The row a parsed command runs under: its [`icdb_cql::COMMANDS`] row
-/// with the tier escalated by its terms. An `explore` with a `publish:`
-/// term leaves the epoch snapshot for the shared lock, and a non-zero one
-/// mutates the relational catalog, so it needs the exclusive section; so
-/// does a `persist` that checkpoints, clears a fault or promotes. An
-/// unknown verb gets an exclusive row, so it meets the commit gate before
-/// the dispatcher rejects it. (An `instance_query` for an ungenerated
-/// layout escalates later, when [`Icdb::dispatch_read`] finds the layout
-/// missing.)
+/// with the tier escalated by its terms. A `persist` that checkpoints,
+/// clears a fault or promotes needs the exclusive section. An unknown
+/// verb gets an exclusive row, so it meets the commit gate before the
+/// dispatcher rejects it. (An `instance_query` for an ungenerated layout,
+/// and an `explore` that publishes, ask for the exclusive section later,
+/// when [`Icdb::dispatch_read`] declines to answer them.)
 pub(crate) fn route(cmd: &Command) -> Result<CommandSpec, IcdbError> {
     let Some(&spec) = command_spec(&cmd.name) else {
         return Ok(CommandSpec {
@@ -41,8 +44,6 @@ pub(crate) fn route(cmd: &Command) -> Result<CommandSpec, IcdbError> {
         });
     };
     let tier = match spec.name {
-        "explore" if cmd.int_term("publish").unwrap_or(0) != 0 => Tier::Exclusive,
-        "explore" if cmd.has("publish") => Tier::Shared,
         "persist"
             if flag(cmd, "checkpoint", false)?
                 || flag(cmd, "clear_fault", false)?
@@ -53,6 +54,16 @@ pub(crate) fn route(cmd: &Command) -> Result<CommandSpec, IcdbError> {
         _ => spec.tier,
     };
     Ok(CommandSpec { tier, ..spec })
+}
+
+/// What [`Icdb::prepare_command`] did before a command's commit section.
+pub(crate) enum Prepared {
+    /// Nothing: the command does all its work inside the section.
+    Nothing,
+    /// A component request: the request its terms map to, pre-warmed.
+    Request(Result<(ComponentRequest, Hints), IcdbError>),
+    /// An `explore` sweep, whose rows the section journals.
+    Sweep(Result<(ExplorationReport, Response), IcdbError>),
 }
 
 impl Icdb {
@@ -78,17 +89,78 @@ impl Icdb {
         args: &mut [CqlArg],
     ) -> Result<(), IcdbError> {
         let (cmd, outs) = parse_command(command, args)?;
-        let response = self.dispatch_in(ns, &cmd)?;
+        let prepared =
+            self.prepare_command(&cmd, |path| self.files.read(path).ok().map(str::to_string));
+        let response = self.dispatch_in(ns, &cmd, prepared)?;
         bind_outputs(&response, &outs, args)?;
         Ok(())
     }
 
-    /// Runs one parsed command with exclusive access: a mutating command's
-    /// handler, or a read-only command's exclusive-only side effects
-    /// followed by its shared handler.
-    pub(crate) fn dispatch_in(&mut self, ns: NsId, cmd: &Command) -> Result<Response, IcdbError> {
+    /// The generation a command does before its commit section, through
+    /// `&self` (the service's epoch snapshot): a component request maps
+    /// its terms to a [`ComponentRequest`], reading a cluster's file
+    /// through `read_file`, and pre-warms it; an `explore` sweeps. Errors
+    /// wait for `dispatch_in`, so they surface after the entry rule.
+    pub(crate) fn prepare_command(
+        &self,
+        cmd: &Command,
+        read_file: impl FnOnce(&str) -> Option<String>,
+    ) -> Prepared {
         match cmd.name.as_str() {
-            "request_component" => return self.exec_request_component(ns, cmd),
+            // Not the layout-regeneration form (see `dispatch_in`).
+            "request_component"
+                if cmd.str_term("instance").is_none()
+                    || !cmd.pending_keys().contains(&"CIF_layout") =>
+            {
+                Prepared::Request(component_request(cmd, read_file).map(|request| {
+                    let hints = self.prewarm(std::slice::from_ref(&request), 1);
+                    (request, hints)
+                }))
+            }
+            "explore" => Prepared::Sweep(self.exec_explore(cmd)),
+            _ => Prepared::Nothing,
+        }
+    }
+
+    /// Runs one parsed command with exclusive access, after
+    /// [`Icdb::prepare_command`]: a mutating command's handler, or a
+    /// read-only command's exclusive-only side effects followed by its
+    /// shared handler.
+    pub(crate) fn dispatch_in(
+        &mut self,
+        ns: NsId,
+        cmd: &Command,
+        prepared: Prepared,
+    ) -> Result<Response, IcdbError> {
+        match prepared {
+            Prepared::Request(request) => {
+                let (request, hints) = request?;
+                return self.exec_request_component(ns, cmd, &request, hints);
+            }
+            Prepared::Sweep(sweep) => {
+                // Mirror the report into the relational `exploration` table
+                // unless `publish:0`, and journal the sweep's fresh
+                // evaluations into the durable corpus.
+                let (report, resp) = sweep?;
+                if flag(cmd, "publish", true)? {
+                    self.publish_exploration(&report)?;
+                }
+                self.flush_corpus()?;
+                return Ok(resp);
+            }
+            Prepared::Nothing => {}
+        }
+        match cmd.name.as_str() {
+            // The layout-regeneration form: `instance:%s; alternative:3;
+            // port_position:%s; CIF_layout:?s`.
+            "request_component" => {
+                let instance = cmd.str_term("instance").unwrap_or_default();
+                let alternative = cmd.int_term("alternative").map(|v| v as usize);
+                let cif = self.generate_layout_in(ns, instance, alternative, port_terms(cmd))?;
+                let mut resp = Response::new();
+                resp.set("CIF_layout", CqlValue::Str(cif.to_string()));
+                return Ok(resp);
+            }
             "insert_component" => return self.exec_insert_component(cmd),
             "start_a_design" => {
                 self.start_design_in(ns, &design_of(cmd)?)?;
@@ -114,16 +186,6 @@ impl Icdb {
             "end_a_design" => {
                 self.end_design_in(ns, &design_of(cmd)?)?;
                 return Ok(Response::new());
-            }
-            "explore" => {
-                // Also mirror the report into the relational `exploration`
-                // table and journal the sweep's fresh evaluations into the
-                // durable corpus (a lock-free sweep's recordings flush on
-                // the service's next exclusive pass instead).
-                let (report, resp) = self.exec_explore(cmd)?;
-                self.publish_exploration(&report)?;
-                self.flush_corpus()?;
-                return Ok(resp);
             }
             // Generate the layout up front if the query wants CIF.
             "instance_query" if cmd.pending_keys().contains(&"CIF_layout") => {
@@ -164,7 +226,8 @@ impl Icdb {
     /// Answers one parsed read-only command through `&self`. Returns
     /// `Ok(None)` when it needs exclusive access after all — an
     /// `instance_query` asking for a CIF layout that has not been
-    /// generated yet.
+    /// generated yet, or an `explore` whose `publish:` term asks to
+    /// journal its rows (it then sweeps in [`Icdb::prepare_command`]).
     pub(crate) fn dispatch_read(
         &self,
         ns: NsId,
@@ -178,6 +241,7 @@ impl Icdb {
             "merge_query" => self.exec_merge_query(cmd)?,
             "tool_query" => self.exec_tool_query(cmd)?,
             "cache_query" => self.exec_cache_query(cmd)?,
+            "explore" if cmd.int_term("publish").unwrap_or(0) != 0 => return Ok(None),
             "explore" => self.exec_explore(cmd)?.1,
             "corpus" => self.exec_corpus(cmd)?,
             "persist" => self.exec_persist(cmd)?,
@@ -286,112 +350,19 @@ impl Icdb {
         Ok(resp)
     }
 
-    /// `request_component` (§3.2.2, Appendix B §6): generate an instance,
-    /// or regenerate a layout for an existing instance.
-    fn exec_request_component(&mut self, ns: NsId, cmd: &Command) -> Result<Response, IcdbError> {
+    /// `request_component` (§3.2.2, Appendix B §6): installs a pre-warmed
+    /// request through the install loop.
+    fn exec_request_component(
+        &mut self,
+        ns: NsId,
+        cmd: &Command,
+        request: &ComponentRequest,
+        hints: Hints,
+    ) -> Result<Response, IcdbError> {
+        let name = self
+            .install_all(ns, std::slice::from_ref(request), hints)?
+            .remove(0);
         let mut resp = Response::new();
-
-        // Layout-regeneration form: `instance:%s; alternative:3;
-        // port_position:%s; CIF_layout:?s`.
-        if let Some(instance) = cmd.str_term("instance").map(str::to_string) {
-            if cmd.pending_keys().contains(&"CIF_layout") {
-                let alternative = cmd.int_term("alternative").map(|v| v as usize);
-                let ports = cmd
-                    .str_term("port_position")
-                    .or_else(|| cmd.str_term("pin_position"))
-                    .map(str::to_string);
-                let cif = self.generate_layout_in(ns, &instance, alternative, ports.as_deref())?;
-                resp.set("CIF_layout", CqlValue::Str(cif.to_string()));
-                return Ok(resp);
-            }
-        }
-
-        let source = if let Some(iif) = cmd.str_term("IIF") {
-            Source::Iif(iif.to_string())
-        } else if let Some(v) = cmd.str_term("VHDL_net_list") {
-            // Either inline VHDL text or a design-data file name.
-            let text = if v.contains("entity") {
-                v.to_string()
-            } else {
-                self.files
-                    .read(v)
-                    .map(str::to_string)
-                    .map_err(|_| IcdbError::NotFound(format!("VHDL netlist `{v}`")))?
-            };
-            Source::VhdlNetlist(text)
-        } else {
-            Source::Library {
-                component_name: cmd.str_term("component_name").map(str::to_string),
-                implementation: cmd
-                    .str_term("implementation")
-                    .or_else(|| cmd.str_term("implemntation"))
-                    .map(str::to_string),
-                functions: cmd.list_term("function").unwrap_or_default(),
-            }
-        };
-
-        let mut request = ComponentRequest::by_component("");
-        request.source = source;
-        if let Some(attrs) = cmd.attrs_term("attribute") {
-            request.attributes = attrs.to_vec();
-        }
-        // Bare `size:4` terms also act as attributes (Appendix B §4 example).
-        for key in [
-            "size",
-            "shift_distance",
-            "n",
-            "type",
-            "load",
-            "enable",
-            "up_or_down",
-        ] {
-            if let Some(v) = cmd.int_term(key) {
-                request.attributes.push((key.to_string(), v.to_string()));
-            }
-        }
-        if let Some(cw) = cmd
-            .real_term("clock_width")
-            .or_else(|| cmd.real_term("clk_width"))
-        {
-            request.constraints.clock_width = Some(cw);
-        }
-        if let Some(su) = cmd
-            .real_term("set_up_time")
-            .or_else(|| cmd.real_term("seq_delay"))
-        {
-            request.constraints.set_up_time = Some(su);
-        }
-        match cmd.real_term("comb_delay") {
-            Some(worst) => request.constraints.comb_delay = Some(worst),
-            None => {
-                if let Some(text) = cmd.str_term("comb_delay") {
-                    request.constraints.parse_delay_text(text)?;
-                }
-            }
-        }
-        if let Some(s) = cmd.str_term("strategy") {
-            request.strategy = Some(s.to_string());
-        }
-        if let Some(t) = cmd.str_term("target") {
-            request.target = match t {
-                "layout" => TargetLevel::Layout,
-                _ => TargetLevel::Logic,
-            };
-        }
-        if let Some(p) = cmd
-            .str_term("port_position")
-            .or_else(|| cmd.str_term("pin_position"))
-        {
-            request.port_positions = Some(p.to_string());
-        }
-        if let Some(a) = cmd.int_term("alternative") {
-            request.alternative = Some(a as usize);
-        }
-        if let Some(n) = cmd.str_term("naming") {
-            request.instance_name = Some(n.to_string());
-        }
-
-        let name = self.request_component_in(ns, &request)?;
         for key in cmd.pending_keys() {
             match key {
                 "generated_component" | "instance" | "component_instance" => {
@@ -626,10 +597,11 @@ impl Icdb {
     /// feasible), `front:?s[]`, `table:?s`, `points:?d`, `front_size:?d`,
     /// and the winner metrics `area:?r` / `delay:?r` / `power:?r`.
     ///
-    /// The sweep itself is read-only and served under the shared lock.
-    /// Add `publish:1` to also refresh the relational `exploration` table
-    /// — that mutates the store, so the command is then routed to the
-    /// exclusive path (embedded [`Icdb::execute`] always refreshes it).
+    /// The sweep itself is read-only: the service runs it on its epoch
+    /// snapshot. Add `publish:1` to also refresh the relational
+    /// `exploration` table; the service then journals the rows in its
+    /// commit section after the sweep (embedded [`Icdb::execute`]
+    /// refreshes it unless `publish:0`).
     fn exec_explore(
         &self,
         cmd: &Command,
@@ -1048,4 +1020,97 @@ fn instance_query_target(cmd: &Command) -> Result<String, IcdbError> {
         .or_else(|| cmd.str_term("generated_component"))
         .map(str::to_string)
         .ok_or_else(|| IcdbError::Cql("instance_query needs instance:%s".into()))
+}
+
+/// The `port_position:` (or `pin_position:`) term.
+fn port_terms(cmd: &Command) -> Option<&str> {
+    cmd.str_term("port_position")
+        .or_else(|| cmd.str_term("pin_position"))
+}
+
+/// The [`ComponentRequest`] a `request_component`'s terms map to: a
+/// library spec, inline `IIF:` text, or a `VHDL_net_list:` cluster given
+/// inline or as a design-data file name (read through `read_file`), plus
+/// attributes, constraints, strategy, target and naming.
+fn component_request(
+    cmd: &Command,
+    read_file: impl FnOnce(&str) -> Option<String>,
+) -> Result<ComponentRequest, IcdbError> {
+    let source = if let Some(iif) = cmd.str_term("IIF") {
+        Source::Iif(iif.to_string())
+    } else if let Some(v) = cmd.str_term("VHDL_net_list") {
+        // Either inline VHDL text or a design-data file name.
+        let text = if v.contains("entity") {
+            v.to_string()
+        } else {
+            read_file(v).ok_or_else(|| IcdbError::NotFound(format!("VHDL netlist `{v}`")))?
+        };
+        Source::VhdlNetlist(text)
+    } else {
+        Source::Library {
+            component_name: cmd.str_term("component_name").map(str::to_string),
+            implementation: cmd
+                .str_term("implementation")
+                .or_else(|| cmd.str_term("implemntation"))
+                .map(str::to_string),
+            functions: cmd.list_term("function").unwrap_or_default(),
+        }
+    };
+
+    let mut request = ComponentRequest::by_component("");
+    request.source = source;
+    if let Some(attrs) = cmd.attrs_term("attribute") {
+        request.attributes = attrs.to_vec();
+    }
+    // Bare `size:4` terms also act as attributes (Appendix B §4 example).
+    for key in [
+        "size",
+        "shift_distance",
+        "n",
+        "type",
+        "load",
+        "enable",
+        "up_or_down",
+    ] {
+        if let Some(v) = cmd.int_term(key) {
+            request.attributes.push((key.to_string(), v.to_string()));
+        }
+    }
+    if let Some(cw) = cmd
+        .real_term("clock_width")
+        .or_else(|| cmd.real_term("clk_width"))
+    {
+        request.constraints.clock_width = Some(cw);
+    }
+    if let Some(su) = cmd
+        .real_term("set_up_time")
+        .or_else(|| cmd.real_term("seq_delay"))
+    {
+        request.constraints.set_up_time = Some(su);
+    }
+    match cmd.real_term("comb_delay") {
+        Some(worst) => request.constraints.comb_delay = Some(worst),
+        None => {
+            if let Some(text) = cmd.str_term("comb_delay") {
+                request.constraints.parse_delay_text(text)?;
+            }
+        }
+    }
+    if let Some(s) = cmd.str_term("strategy") {
+        request.strategy = Some(s.to_string());
+    }
+    if let Some(t) = cmd.str_term("target") {
+        request.target = match t {
+            "layout" => TargetLevel::Layout,
+            _ => TargetLevel::Logic,
+        };
+    }
+    request.port_positions = port_terms(cmd).map(str::to_string);
+    if let Some(a) = cmd.int_term("alternative") {
+        request.alternative = Some(a as usize);
+    }
+    if let Some(n) = cmd.str_term("naming") {
+        request.instance_name = Some(n.to_string());
+    }
+    Ok(request)
 }

@@ -23,7 +23,11 @@
 //!
 //! Failed mutations are journaled too (the enqueue happens first — it *is*
 //! a write-ahead log). That is sound because failures are deterministic:
-//! replaying a failed event fails identically and changes nothing.
+//! replaying a failed event fails identically and changes nothing. It
+//! holds on every entry point: a component request whose pre-warm failed
+//! reaches the install loop with no hint, so its event is journaled before
+//! the install regenerates and fails — typed, batched, CQL, embedded or
+//! served alike.
 //!
 //! Durability is group-committed: [`Icdb::commit`] *enqueues* the event
 //! (fixing its replay position) and applies it, and only then waits for
@@ -33,7 +37,7 @@
 //! scales with the number of concurrent sessions.
 //!
 //! That enqueue → apply → settle sequence exists once, behind
-//! [`Icdb::commit`]. An install the service already prepared passes its
+//! [`Icdb::commit`]. The install loop passes each request's pre-warmed
 //! payload to [`Icdb::apply`]'s install arm as a hint, and the namespace
 //! lifecycle commits with best-effort durability; neither bypasses
 //! `apply`, so the per-namespace commit counter advances in one place.
@@ -41,7 +45,7 @@
 use crate::cache::GenerationPayload;
 use crate::error::IcdbError;
 use crate::space::NsId;
-use crate::spec::{ComponentRequest, Source, TargetLevel};
+use crate::spec::{ComponentRequest, TargetLevel};
 use crate::tools::GeneratorInfo;
 use crate::Icdb;
 use icdb_estimate::LoadSpec;
@@ -494,14 +498,15 @@ impl Icdb {
         self.deferred_waits.take().unwrap_or_default()
     }
 
-    /// The install path shared by live commits and replay. `hint` is a
-    /// payload the caller already prepared (the service pre-warms it under
-    /// the *shared* lock); it is used only when it is provably equivalent
-    /// to regenerating right now — same knowledge-base and cell-library
-    /// versions, and never for VHDL clusters (whose flattening reads live
-    /// instances and must therefore run at the event's position in the
-    /// journal order). Replay always regenerates, so both paths produce
-    /// identical instances.
+    /// The install path shared by live commits and replay. `hint` is the
+    /// payload the request's pre-warm prepared outside the commit section
+    /// (`Icdb::prewarm`, which never pre-warms a VHDL cluster: its
+    /// flattening reads live instances and must run at the event's
+    /// position in the journal order). It is used only when it is provably
+    /// equivalent to regenerating right now — same knowledge-base and
+    /// cell-library versions. Without a usable hint (a cluster, a failed or
+    /// stale pre-warm, or replay) the install regenerates here, so every
+    /// path produces identical instances.
     pub(crate) fn apply_install(
         &mut self,
         ns: NsId,
@@ -509,12 +514,7 @@ impl Icdb {
         hint: Option<&Arc<GenerationPayload>>,
     ) -> Result<String, IcdbError> {
         let payload = match hint {
-            Some(p)
-                if !matches!(request.source, Source::VhdlNetlist(_))
-                    && p.fresh_for(self.library.version(), self.cells.version()) =>
-            {
-                Arc::clone(p)
-            }
+            Some(p) if p.fresh_for(self.library.version(), self.cells.version()) => Arc::clone(p),
             _ => self.prepare_payload(ns, request)?,
         };
         let name = self.install_payload_in(ns, request, &payload)?;
@@ -527,25 +527,6 @@ impl Icdb {
             )?;
         }
         Ok(name)
-    }
-
-    /// Journals and applies one [`MutationEvent::InstallComponent`],
-    /// threading the caller's pre-warmed payload through (see
-    /// [`Icdb::apply_install`]); returns the instance name.
-    pub(crate) fn install_in(
-        &mut self,
-        ns: NsId,
-        request: &ComponentRequest,
-        hint: Option<&Arc<GenerationPayload>>,
-    ) -> Result<String, IcdbError> {
-        let event = MutationEvent::InstallComponent {
-            ns,
-            request: request.clone(),
-        };
-        let applied = self.commit_with(&event, hint, Durability::Required)?;
-        Ok(applied
-            .into_name()
-            .expect("InstallComponent applies to an instance name"))
     }
 
     /// `DELETE FROM table` + re-insert the recorded rows (the publish

@@ -12,9 +12,10 @@
 //! selects a winner under the sweep's [`Objective`].
 //!
 //! The sweep is read-only (`&self`): no instance is installed, so the
-//! concurrent [`crate::service::IcdbService`] serves explorations under
-//! its *shared* lock. [`Icdb::publish_exploration`] additionally mirrors a
-//! report into the relational `exploration` table (like `cache_stats`).
+//! concurrent [`crate::service::IcdbService`] runs every served sweep on
+//! its lock-free epoch snapshot. [`Icdb::publish_exploration`]
+//! additionally mirrors a report into the relational `exploration` table
+//! (like `cache_stats`); only that journaling enters the commit section.
 
 use crate::error::IcdbError;
 use crate::server::{fan_out, Resolved};
@@ -559,6 +560,24 @@ mod tests {
         assert!(icdb
             .explore(&ExploreSpec::by_component("no_such_type"))
             .is_err());
+    }
+
+    /// The embedded `explore` publishes unless `publish:0` says otherwise.
+    #[test]
+    fn embedded_explore_publishes_unless_publish_is_zero() {
+        let mut icdb = Icdb::new();
+        let rows = |icdb: &Icdb| icdb.db.query("SELECT candidate FROM exploration").unwrap();
+        let sweep = |publish: &str| {
+            format!("command:explore; component:counter; widths:(4);{publish} winner:?s")
+        };
+        let mut args = [icdb_cql::CqlArg::OutStr(None)];
+        icdb.execute(&sweep(" publish:0;"), &mut args).unwrap();
+        assert!(rows(&icdb).is_empty(), "publish:0 leaves the table alone");
+        icdb.execute(&sweep(""), &mut args).unwrap();
+        let published = rows(&icdb).len();
+        assert!(published > 0, "no publish: term publishes");
+        icdb.execute(&sweep(" publish:1;"), &mut args).unwrap();
+        assert_eq!(rows(&icdb).len(), published);
     }
 
     #[test]

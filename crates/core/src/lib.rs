@@ -304,10 +304,7 @@ impl Icdb {
                 self.files
                     .remove(&space::Namespace::file_path(ns, name, suffix));
             }
-            let _ = self.db.execute(&format!(
-                "DELETE FROM instances WHERE name = '{}'",
-                space::Namespace::db_name(ns, name)
-            ));
+            self.delete_catalog_row(ns, name);
         }
         names.len()
     }

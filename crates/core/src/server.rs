@@ -2,24 +2,26 @@
 //! (IIF expander → MILO-style synthesis → transistor sizing → estimators →
 //! layout generator) plus instance storage and queries.
 //!
-//! Generation is split into a read-only **prepare** phase
-//! ([`Icdb::prepare_payload`] → [`GenerationPayload`]) memoized by the
-//! [`crate::cache::GenCache`], and a mutating **install** phase that names
-//! the instance and persists its views. The split is what makes both
-//! [`Icdb::request_components_batch`] (cold prepares fan out across scoped
-//! threads sharing the cache) and the concurrent
-//! [`crate::service::IcdbService`] possible: the service runs prepares
-//! under a *shared* read lock and takes the exclusive lock only for the
-//! short install.
+//! Every component request runs two steps. The **pre-warm**
+//! (`Icdb::prewarm`) prepares each non-cluster request through `&self`
+//! ([`Icdb::prepare_payload`] → [`GenerationPayload`], memoized by the
+//! [`crate::cache::GenCache`]); the concurrent
+//! [`crate::service::IcdbService`] runs it on its lock-free epoch
+//! snapshot. The **install loop** (`Icdb::install_all`) then journals and
+//! applies one [`MutationEvent::InstallComponent`] per request with the
+//! payload as a hint, inside one commit section on the service. A failed,
+//! skipped (VHDL cluster) or stale pre-warm leaves no hint: the install
+//! regenerates at the event's journal position, so a failing request is
+//! journaled like any other failed mutation, on every path.
 //!
 //! Every instance-touching method exists in two forms: the classic
 //! single-caller form (`instance`, `delay_string`, …) operating on
 //! [`NsId::ROOT`], and an `_in` form addressing an explicit session
 //! namespace.
 
-use crate::cache::{FlatKey, GenerationPayload, NetKey, RequestKey, SourceKey};
+use crate::cache::{GenerationPayload, NetKey, RequestKey, SourceKey};
 use crate::error::IcdbError;
-use crate::events::MutationEvent;
+use crate::events::{Durability, MutationEvent};
 use crate::instance::ComponentInstance;
 use crate::library::ComponentImpl;
 use crate::space::{Namespace, NsId};
@@ -28,7 +30,7 @@ use crate::Icdb;
 use icdb_estimate::{estimate_shape, LoadSpec};
 use icdb_layout::{place, to_ascii, to_cif, PortSpec};
 use icdb_logic::{synthesize, Gate, GateNetlist, SynthOptions};
-use icdb_sizing::size_netlist;
+use icdb_sizing::{size_netlist, SizingGoal, Strategy};
 use icdb_store::Value;
 use icdb_vhdl::{emit_entity, emit_netlist, parse_netlist, vhdl_id};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,13 +42,25 @@ const MAX_SHAPE_STRIPS: usize = 8;
 /// Result of preparing one request (shared payload or the first error).
 pub(crate) type PreparedPayload = Result<Arc<GenerationPayload>, IcdbError>;
 
-/// A library request after [`Icdb::resolve`]: the implementation it names,
-/// the parameter values its attributes bind, and its canonical key.
+/// One pre-warmed payload per request, `None` where there is no hint.
+pub(crate) type Hints = Vec<Option<Arc<GenerationPayload>>>;
+
+/// A library or inline-IIF request after [`Icdb::resolve`]: the module it
+/// expands, the parameter values its attributes bind, and its canonical
+/// key.
 pub(crate) struct Resolved<'a> {
-    imp: &'a ComponentImpl,
+    origin: Origin<'a>,
     params: Vec<(String, i64)>,
     /// The result-layer and corpus key.
     pub(crate) key: RequestKey,
+}
+
+/// Where a resolved request's module comes from.
+enum Origin<'a> {
+    /// A knowledge-base implementation.
+    Library(&'a ComponentImpl),
+    /// Inline IIF text, parsed.
+    Iif(Box<icdb_iif::Module>),
 }
 
 /// Runs `job` on every item across up to `workers` scoped threads and
@@ -115,7 +129,8 @@ impl Icdb {
         self.request_component_in(NsId::ROOT, request)
     }
 
-    /// [`Icdb::request_component`] against an explicit session namespace.
+    /// [`Icdb::request_component`] against an explicit session namespace:
+    /// a batch of one.
     ///
     /// The whole generate-and-install is one journaled
     /// [`MutationEvent::InstallComponent`]; recovery replays the same
@@ -129,7 +144,9 @@ impl Icdb {
         ns: NsId,
         request: &ComponentRequest,
     ) -> Result<String, IcdbError> {
-        self.install_in(ns, request, None)
+        Ok(self
+            .request_components_batch_in(ns, std::slice::from_ref(request), 1)?
+            .remove(0))
     }
 
     /// Generates many components in one call, fanning the *cold* pipeline
@@ -141,14 +158,15 @@ impl Icdb {
     /// sequentially instead of spawning a zero-worker scope that could
     /// never fill the result slots.
     ///
-    /// VHDL-cluster requests skip the parallel prepare (they flatten live
-    /// instances, so they are prepared at install time in request order —
-    /// a cluster may therefore reference instances created earlier in the
-    /// same batch, exactly as if the requests were issued sequentially).
+    /// VHDL-cluster requests skip the parallel pre-warm: they flatten live
+    /// instances, so they generate at install time in request order — a
+    /// cluster may therefore reference instances created earlier in the
+    /// same batch, exactly as if the requests were issued sequentially.
     ///
     /// # Errors
     /// The first failing request aborts the remaining installs; instances
-    /// already installed by this call are kept.
+    /// already installed by this call are kept, and the failing request's
+    /// event is journaled.
     pub fn request_components_batch(
         &mut self,
         requests: &[ComponentRequest],
@@ -167,150 +185,99 @@ impl Icdb {
         requests: &[ComponentRequest],
         workers: usize,
     ) -> Result<Vec<String>, IcdbError> {
-        let prepared = self.prepare_batch(ns, requests, workers);
-        self.install_batch_in(ns, requests, prepared)
+        let hints = self.prewarm(requests, workers);
+        self.install_all(ns, requests, hints)
     }
 
-    /// The read-only half of a batch: prepares every request, fanning cold
-    /// work across up to `workers` scoped threads sharing the cache (see
-    /// [`fan_out`]). Safe under a shared lock.
-    pub(crate) fn prepare_batch(
-        &self,
-        ns: NsId,
-        requests: &[ComponentRequest],
-        workers: usize,
-    ) -> Vec<PreparedPayload> {
-        // Cluster requests are never prepared here: they flatten *live*
-        // instances, so the install path re-prepares them at their
-        // position in the journal order (see `Icdb::apply_install`).
-        fan_out(requests, workers, |request| {
-            if matches!(request.source, Source::VhdlNetlist(_)) {
-                Err(IcdbError::Unsupported(
-                    "VHDL clusters are prepared at install time".into(),
-                ))
-            } else {
-                self.prepare_payload(ns, request)
-            }
+    /// The first step of every component request: prepares each request
+    /// across up to `workers` scoped threads sharing the cache (see
+    /// [`fan_out`]). A VHDL cluster or a failing request gets no hint.
+    pub(crate) fn prewarm(&self, requests: &[ComponentRequest], workers: usize) -> Hints {
+        fan_out(requests, workers, |request| match request.source {
+            Source::VhdlNetlist(_) => None,
+            _ => self.prepare_payload(NsId::ROOT, request).ok(),
         })
     }
 
-    /// The mutating half of a batch: journals and installs one
+    /// The second step: journals and applies one
     /// [`MutationEvent::InstallComponent`] per request in request order
-    /// (deterministic names), generating layouts where requested. The
-    /// prepared payloads serve as cache-warm hints; clusters re-prepare at
-    /// their journal position (so, unlike earlier revisions, a cluster in
-    /// a batch *may* reference instances created earlier in the same
-    /// batch — identical to issuing the requests sequentially).
-    pub(crate) fn install_batch_in(
+    /// (deterministic names), with its hint. Stops at the first failing
+    /// request, whose event stays journaled.
+    pub(crate) fn install_all(
         &mut self,
         ns: NsId,
         requests: &[ComponentRequest],
-        prepared: Vec<PreparedPayload>,
+        hints: Hints,
     ) -> Result<Vec<String>, IcdbError> {
-        let mut names = Vec::with_capacity(requests.len());
-        for (request, slot) in requests.iter().zip(prepared) {
-            let name = if matches!(request.source, Source::VhdlNetlist(_)) {
-                self.install_in(ns, request, None)?
-            } else {
-                let payload = slot?;
-                self.install_in(ns, request, Some(&payload))?
-            };
-            names.push(name);
-        }
-        Ok(names)
+        requests
+            .iter()
+            .zip(hints)
+            .map(|(request, hint)| {
+                let event = MutationEvent::InstallComponent {
+                    ns,
+                    request: request.clone(),
+                };
+                let applied = self.commit_with(&event, hint.as_ref(), Durability::Required)?;
+                Ok(applied
+                    .into_name()
+                    .expect("InstallComponent applies to an instance name"))
+            })
+            .collect()
     }
 
     /// The read-only half of generation: resolves the request, consults the
     /// cache layer by layer, and runs only the stages that miss. Safe to
-    /// call concurrently from scoped threads sharing `&self` (the service
-    /// calls it under a shared read lock, so cold generation never blocks
-    /// other sessions' reads). The mutating install half
-    /// ([`Icdb::request_component`] runs both) turns a payload into a named
-    /// instance.
+    /// call concurrently from scoped threads sharing `&self`. VHDL clusters
+    /// flatten the instances of `ns` and are never cached.
     ///
     /// # Errors
     /// Propagates resolution, expansion, synthesis and estimation failures.
     pub(crate) fn prepare_payload(&self, ns: NsId, request: &ComponentRequest) -> PreparedPayload {
         match &request.source {
-            Source::Library { .. } => {
+            Source::VhdlNetlist(text) => {
+                // Clusters flatten *live* instances, so their results are
+                // never cached — a stale hit could resurrect deleted state.
+                let netlist = self.flatten_cluster(ns, text)?;
+                Ok(Arc::new(GenerationPayload {
+                    implementation: "cluster".to_string(),
+                    ..self.finish_payload(
+                        netlist,
+                        None,
+                        request.constraints.load_spec(),
+                        &request.sizing_strategy(),
+                        request.constraints.set_up_time,
+                    )?
+                }))
+            }
+            _ => {
                 let resolved = self.resolve(request)?;
                 match self.cache.get_result(&resolved.key) {
                     Some(hit) => Ok(hit),
                     None => self.generate_resolved(&resolved, request),
                 }
             }
-            Source::Iif(text) => {
-                let module = icdb_iif::parse(text)?;
-                let mut params = Vec::new();
-                for p in &module.parameters {
-                    let v = request
-                        .attributes
-                        .iter()
-                        .find(|(k, _)| k == p)
-                        .map(|(_, v)| {
-                            v.parse::<i64>().map_err(|_| {
-                                IcdbError::Cql(format!("attribute {p}:{v} is not an integer"))
-                            })
-                        })
-                        .transpose()?
-                        .ok_or_else(|| {
-                            IcdbError::Unsupported(format!(
-                                "IIF design `{}` needs attribute `{p}`",
-                                module.name
-                            ))
-                        })?;
-                    params.push((p.clone(), v));
-                }
-                let source = SourceKey::Iif(text.clone());
-                let key = RequestKey::new(
-                    source,
-                    &params,
-                    request,
-                    self.library.version(),
-                    self.cells.version(),
-                );
-                if let Some(hit) = self.cache.get_result(&key) {
-                    return Ok(hit);
-                }
-                let payload = Arc::new(self.generate_from_module(
-                    &module,
-                    key.flat_key(),
-                    "iif".to_string(),
-                    module.functions.clone(),
-                    params,
-                    Default::default(),
-                    request,
-                )?);
-                self.cache.put_result(key, payload.clone());
-                Ok(payload)
-            }
-            Source::VhdlNetlist(text) => {
-                // Clusters flatten *live* instances, so their results are
-                // never cached — a stale hit could resurrect deleted state.
-                let netlist = self.flatten_cluster(ns, text)?;
-                Ok(Arc::new(self.finish_payload(
-                    netlist,
-                    "cluster".to_string(),
-                    Vec::new(),
-                    Vec::new(),
-                    Default::default(),
-                    None,
-                    request,
-                )?))
-            }
         }
     }
 
-    /// Resolves a library request without running any generation stage:
-    /// picks the implementation, binds the request's attributes to its
-    /// parameters, and canonicalizes the cache/corpus key. Every library
-    /// request — a plain one through [`Icdb::prepare_payload`], a sweep's
-    /// grid point — resolves here.
+    /// Resolves a library or inline-IIF request without running any
+    /// generation stage: picks the implementation or parses the IIF,
+    /// binds the request's attributes to its parameters, and canonicalizes
+    /// the cache/corpus key. Every such request — a plain one through
+    /// [`Icdb::prepare_payload`], a sweep's grid point — resolves here.
     ///
     /// # Errors
-    /// `NotFound` when no implementation matches, `Unsupported` for an
-    /// unknown attribute or a source that is not a library request.
+    /// `NotFound` when no implementation matches; IIF parse errors;
+    /// `Unsupported`/`Cql` for an attribute that does not bind.
     pub(crate) fn resolve(&self, request: &ComponentRequest) -> Result<Resolved<'_>, IcdbError> {
+        let resolved = |origin, params: Vec<(String, i64)>, source| {
+            let (lib, cells) = (self.library.version(), self.cells.version());
+            let key = RequestKey::new(source, &params, request, lib, cells);
+            Resolved {
+                origin,
+                params,
+                key,
+            }
+        };
         let imp = match &request.source {
             Source::Library {
                 implementation: Some(name),
@@ -340,21 +307,36 @@ impl Icdb {
                     ))
                 })?
             }
-            _ => {
+            Source::Iif(text) => {
+                let module = icdb_iif::parse(text)?;
+                let mut params = Vec::new();
+                for p in &module.parameters {
+                    let missing = || {
+                        let name = &module.name;
+                        IcdbError::Unsupported(format!("IIF design `{name}` needs attribute `{p}`"))
+                    };
+                    let (_, v) = request
+                        .attributes
+                        .iter()
+                        .find(|(k, _)| k == p)
+                        .ok_or_else(missing)?;
+                    let v = v.parse::<i64>().map_err(|_| {
+                        IcdbError::Cql(format!("attribute {p}:{v} is not an integer"))
+                    })?;
+                    params.push((p.clone(), v));
+                }
+                let source = SourceKey::Iif(text.clone());
+                return Ok(resolved(Origin::Iif(Box::new(module)), params, source));
+            }
+            Source::VhdlNetlist(_) => {
                 return Err(IcdbError::Unsupported(
-                    "only library requests resolve to an implementation".into(),
+                    "a VHDL cluster does not resolve".into(),
                 ))
             }
         };
         let params = imp.bind_attributes(&request.attributes)?;
-        let key = RequestKey::new(
-            SourceKey::Implementation(imp.name.clone()),
-            &params,
-            request,
-            self.library.version(),
-            self.cells.version(),
-        );
-        Ok(Resolved { imp, params, key })
+        let source = SourceKey::Implementation(imp.name.clone());
+        Ok(resolved(Origin::Library(imp), params, source))
     }
 
     /// Runs the pipeline for a resolved request that the result layer (the
@@ -367,33 +349,22 @@ impl Icdb {
         resolved: &Resolved<'_>,
         request: &ComponentRequest,
     ) -> PreparedPayload {
-        let Resolved { imp, params, key } = resolved;
-        let payload = Arc::new(self.generate_from_module(
-            &imp.module,
-            key.flat_key(),
-            imp.name.clone(),
-            imp.functions.clone(),
-            params.clone(),
-            imp.connection.clone(),
-            request,
-        )?);
-        self.cache.put_result(key.clone(), payload.clone());
-        Ok(payload)
-    }
-
-    /// Runs (or recalls) expansion and synthesis for a module, then the
-    /// per-request sizing/estimation tail.
-    #[allow(clippy::too_many_arguments)]
-    fn generate_from_module(
-        &self,
-        module: &icdb_iif::Module,
-        flat_key: FlatKey,
-        implementation: String,
-        functions: Vec<String>,
-        params: Vec<(String, i64)>,
-        connection: icdb_genus::ConnectionTable,
-        request: &ComponentRequest,
-    ) -> Result<GenerationPayload, IcdbError> {
+        let (params, key) = (&resolved.params, &resolved.key);
+        let (module, implementation, functions, connection) = match &resolved.origin {
+            Origin::Library(imp) => (
+                &imp.module,
+                imp.name.clone(),
+                imp.functions.clone(),
+                imp.connection.clone(),
+            ),
+            Origin::Iif(module) => (
+                &**module,
+                "iif".to_string(),
+                module.functions.clone(),
+                Default::default(),
+            ),
+        };
+        let flat_key = key.flat_key();
         let flat = match self.cache.get_flat(&flat_key) {
             Some(flat) => flat,
             None => {
@@ -415,36 +386,37 @@ impl Icdb {
             }
         };
         let views = (flat.to_string(), flat.to_milo_format());
-        self.finish_payload(
-            (*mapped).clone(),
+        let payload = Arc::new(GenerationPayload {
             implementation,
             functions,
-            params,
+            params: params.clone(),
             connection,
-            Some(views),
-            request,
-        )
+            ..self.finish_payload(
+                (*mapped).clone(),
+                Some(views),
+                request.constraints.load_spec(),
+                &request.sizing_strategy(),
+                request.constraints.set_up_time,
+            )?
+        });
+        self.cache.put_result(key.clone(), payload.clone());
+        Ok(payload)
     }
 
-    /// The per-request pipeline tail: transistor sizing against the
-    /// request's loads/strategy, constraint checking, shape estimation, and
-    /// rendering of every design-data view the store will hold.
-    #[allow(clippy::too_many_arguments)]
+    /// The pipeline tail: transistor sizing, the set-up bound check, shape
+    /// and power estimation, and rendering of every design-data view the
+    /// store will hold. The caller fills in the payload's identity.
     fn finish_payload(
         &self,
         mut netlist: GateNetlist,
-        implementation: String,
-        functions: Vec<String>,
-        params: Vec<(String, i64)>,
-        connection: icdb_genus::ConnectionTable,
         flat_views: Option<(String, String)>,
-        request: &ComponentRequest,
+        loads: LoadSpec,
+        strategy: &Strategy,
+        set_up_time: Option<f64>,
     ) -> Result<GenerationPayload, IcdbError> {
-        let loads = request.constraints.load_spec();
-        let strategy = request.sizing_strategy();
-        let sizing = size_netlist(&mut netlist, &self.cells, &loads, &strategy);
+        let sizing = size_netlist(&mut netlist, &self.cells, &loads, strategy);
         let mut met = sizing.met;
-        if let Some(bound) = request.constraints.set_up_time {
+        if let Some(bound) = set_up_time {
             let worst_setup = sizing
                 .report
                 .setup_times
@@ -471,16 +443,16 @@ impl Icdb {
         let delay_text: Arc<str> = sizing.report.to_string().into();
         let shape_text: Arc<str> = shape.to_alternative_format().into();
         Ok(GenerationPayload {
-            implementation,
-            functions,
-            params,
+            implementation: String::new(),
+            functions: Vec::new(),
+            params: Vec::new(),
             netlist,
             loads,
             report: sizing.report,
             shape,
             power_uw,
             met,
-            connection,
+            connection: Default::default(),
             flat_iif,
             milo,
             vhdl,
@@ -762,7 +734,8 @@ impl Icdb {
         .map(|_| ())
     }
 
-    /// The apply-side of [`Icdb::resize_for_load_in`].
+    /// The apply-side of [`Icdb::resize_for_load_in`]: the pipeline tail
+    /// again, with the catalog row and stored views rewritten to match.
     pub(crate) fn apply_resize_for_load(
         &mut self,
         ns: NsId,
@@ -770,25 +743,25 @@ impl Icdb {
         loads: &LoadSpec,
         clock_width: f64,
     ) -> Result<(), IcdbError> {
-        // Disjoint-field borrow: the cell library is only read while the
-        // namespace's instance is mutated.
-        let Icdb { cells, spaces, .. } = self;
-        let inst = spaces
+        let inst = self.instance_in(ns, instance)?;
+        let strategy = Strategy::Constraints(SizingGoal::clock(clock_width));
+        let resized = GenerationPayload {
+            implementation: inst.implementation.clone(),
+            ..self.finish_payload(inst.netlist.clone(), None, loads.clone(), &strategy, None)?
+        };
+        self.delete_catalog_row(ns, instance);
+        self.persist_payload(ns, instance, &resized)?;
+        let inst = self
+            .spaces
             .get_mut(ns)?
             .instances
             .get_mut(instance)
-            .ok_or_else(|| IcdbError::NotFound(format!("instance `{instance}`")))?;
-        let goal = icdb_sizing::SizingGoal::clock(clock_width);
-        let result = size_netlist(
-            &mut inst.netlist,
-            cells,
-            loads,
-            &icdb_sizing::Strategy::Constraints(goal),
-        );
-        inst.loads = loads.clone();
-        inst.report = result.report;
-        inst.met = result.met;
-        inst.shape = estimate_shape(&inst.netlist, cells, MAX_SHAPE_STRIPS)?;
+            .expect("checked above");
+        inst.netlist = resized.netlist;
+        inst.loads = resized.loads;
+        inst.report = resized.report;
+        inst.shape = resized.shape;
+        inst.met = resized.met;
         Ok(())
     }
 
@@ -835,11 +808,16 @@ impl Icdb {
             for suffix in INSTANCE_VIEW_SUFFIXES {
                 self.files.remove(&Namespace::file_path(ns, name, suffix));
             }
-            let _ = self.db.execute(&format!(
-                "DELETE FROM instances WHERE name = '{}'",
-                Namespace::db_name(ns, name)
-            ));
+            self.delete_catalog_row(ns, name);
         }
+    }
+
+    /// Removes an instance's row from the relational `instances` table.
+    pub(crate) fn delete_catalog_row(&mut self, ns: NsId, name: &str) {
+        let _ = self.db.execute(&format!(
+            "DELETE FROM instances WHERE name = '{}'",
+            Namespace::db_name(ns, name)
+        ));
     }
 
     /// §3.3 delay string (`CW …` / `WD port …` / `SD port …`).
@@ -1032,5 +1010,62 @@ impl Icdb {
             p.shape_text.clone(),
         );
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every stored view with a query counterpart, and the catalog row,
+    /// agree with the instance's live queries.
+    fn assert_store_matches_queries(icdb: &Icdb, name: &str) {
+        let ns = NsId::ROOT;
+        let view = |suffix| {
+            icdb.files
+                .read(&Namespace::file_path(ns, name, suffix))
+                .unwrap()
+        };
+        assert_eq!(view("delay"), icdb.delay_string(name).unwrap());
+        assert_eq!(view("shape"), icdb.shape_string(name).unwrap());
+        assert_eq!(view("vhdl"), icdb.vhdl_netlist(name).unwrap());
+        assert_eq!(view("vhdl_head"), icdb.vhdl_head(name).unwrap());
+        let inst = icdb.instance(name).unwrap();
+        let rows = icdb
+            .db
+            .query(&format!(
+                "SELECT implementation, gates, area, clock_width, met FROM instances \
+                 WHERE name = '{name}'"
+            ))
+            .unwrap();
+        let expected = vec![
+            Value::Text(inst.implementation.clone()),
+            Value::Int(inst.netlist.gates.len() as i64),
+            Value::Real(inst.area()),
+            Value::Real(inst.report.clock_width),
+            Value::Int(i64::from(inst.met)),
+        ];
+        assert_eq!(rows, vec![expected]);
+    }
+
+    /// A resize rewrites the stored delay and shape views and the catalog
+    /// row, live and after recovery replays it.
+    #[test]
+    fn resize_for_load_rewrites_the_stored_views_and_the_catalog_row() {
+        let dir = std::env::temp_dir().join(format!("icdb-resize-views-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut icdb = Icdb::open(&dir).unwrap();
+        let request = ComponentRequest::by_component("counter").attribute("size", "5");
+        let name = icdb.request_component(&request).unwrap();
+        let before = icdb.delay_string(&name).unwrap();
+        let clock_width = 0.9 * icdb.instance(&name).unwrap().report.clock_width;
+        icdb.resize_for_load(&name, &LoadSpec::uniform(60.0), clock_width)
+            .unwrap();
+        assert_ne!(icdb.delay_string(&name).unwrap(), before);
+        assert_store_matches_queries(&icdb, &name);
+        drop(icdb);
+        let recovered = Icdb::open(&dir).unwrap();
+        assert_store_matches_queries(&recovered, &name);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

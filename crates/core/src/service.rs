@@ -5,11 +5,11 @@
 //! cache and relational catalog behind three cooperating mechanisms,
 //! replacing the single big `RwLock` of earlier revisions:
 //!
-//! * **Epoch snapshots (lock-free reads).** Warm *and cold*
-//!   `Icdb::prepare_payload` runs, knowledge-only CQL queries (the
-//!   `Knowledge` rows of [`icdb_cql::COMMANDS`]: `component_query`,
-//!   `cache_query`, …) and [`Session::explore`] sweeps are answered
-//!   from an `Icdb::read_snapshot`: a cloned view
+//! * **Epoch snapshots (lock-free reads).** The pre-warm of every
+//!   component request (typed, batched or CQL), knowledge-only CQL
+//!   queries (the `Knowledge` rows of [`icdb_cql::COMMANDS`]:
+//!   `component_query`, `cache_query`, …) and every served sweep are
+//!   answered from an `Icdb::read_snapshot`: a cloned view
 //!   of the knowledge base, cell library and tool registry sharing the
 //!   (internally synchronized) generation cache. Snapshot freshness is
 //!   tracked by two atomic version mirrors — the moment knowledge
@@ -17,7 +17,10 @@
 //!   snapshot is stale and the next epoch read rebuilds it under a brief
 //!   shared lock. In steady state these paths take *no* service lock at
 //!   all, and because the cache is shared, a pipeline warmed through a
-//!   snapshot serves the subsequent locked install.
+//!   snapshot serves the subsequent install as a hint. No shared-lock
+//!   retry follows a failed pre-warm: the install regenerates inside the
+//!   commit section and reports live state. Inside that section only a
+//!   cluster, a failed or stale pre-warm, or a layout generates.
 //! * **Per-namespace shards (concurrent writers).** Mutations are
 //!   serialized per namespace shard (`crate::space::ShardSet`), not
 //!   globally: the shard lock is held across *enqueue → apply →
@@ -75,7 +78,7 @@
 use crate::error::IcdbError;
 use crate::persist::PersistStats;
 use crate::space::{NsId, ShardSet};
-use crate::spec::{ComponentRequest, Source};
+use crate::spec::ComponentRequest;
 use crate::{CacheStats, Icdb};
 use icdb_cql::{bind_outputs, parse_command, Command, CqlArg, Response, Tier};
 use icdb_estimate::LoadSpec;
@@ -671,6 +674,16 @@ impl Session {
         &self.service
     }
 
+    /// Runs a direct mutation of this session's namespace in the service's
+    /// commit section.
+    fn commit<T>(
+        &self,
+        f: impl FnOnce(&mut Icdb, NsId) -> Result<T, IcdbError>,
+    ) -> Result<T, IcdbError> {
+        self.service
+            .commit_section(Some(self.ns), Entry::Primary, |icdb| f(icdb, self.ns))
+    }
+
     /// How many mutation events have successfully committed in this
     /// session's namespace. Echoed in wire acks (`OK <n> commit:<seq>`)
     /// so a client that lost a response mid-commit can reconnect and
@@ -762,46 +775,23 @@ impl Session {
         Ok(())
     }
 
-    /// Generates a component instance in this session's namespace.
-    ///
-    /// The expensive read-only prepare phase (cache lookup, or the full
-    /// cold pipeline on a miss) runs against the lock-free epoch snapshot
-    /// — warm and cold prepares alike block no one. The journaled install
-    /// event then runs in the exclusive commit section with the prepared
-    /// payload as a hint, which the event path accepts only when it is
-    /// provably equivalent to regenerating (same knowledge-base and
-    /// cell-library versions — see
-    /// [`GenerationPayload::fresh_for`](crate::GenerationPayload::fresh_for));
-    /// a snapshot gone stale mid-flight therefore costs a regeneration,
-    /// never correctness. A prepare that fails against the snapshot is
-    /// retried under the shared lock so error reporting reflects live
-    /// state. VHDL clusters skip the pre-warm: they flatten live
-    /// instances, so they prepare under the exclusive lock at their
-    /// journal position.
+    /// Generates a component instance in this session's namespace: a
+    /// batch of one through [`Session::request_components_batch`].
     ///
     /// # Errors
     /// See [`Icdb::request_component`].
     pub fn request_component(&self, request: &ComponentRequest) -> Result<String, IcdbError> {
-        let hint = match request.source {
-            Source::VhdlNetlist(_) => None,
-            _ => {
-                let epoch = self.service.epoch();
-                match epoch.prepare_payload(NsId::ROOT, request) {
-                    Ok(payload) => Some(payload),
-                    Err(_) => Some(self.service.read().prepare_payload(self.ns, request)?),
-                }
-            }
-        };
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.install_in(self.ns, request, hint.as_ref())
-            })
+        Ok(self
+            .request_components_batch(std::slice::from_ref(request), 1)?
+            .remove(0))
     }
 
-    /// Batch generation in this session's namespace: prepares (cold work
-    /// fanned over `workers` scoped threads against the lock-free epoch
-    /// snapshot), then installs sequentially inside one exclusive commit
-    /// section — a single group flush acknowledges the whole batch.
+    /// Batch generation in this session's namespace: the pre-warm fans
+    /// cold work over `workers` scoped threads against the lock-free epoch
+    /// snapshot, then the install loop runs inside one exclusive commit
+    /// section, so one group flush acknowledges the whole batch. A
+    /// pre-warm that failed, went stale or was skipped (VHDL clusters)
+    /// leaves no hint: that install regenerates against live state.
     ///
     /// # Errors
     /// See [`Icdb::request_components_batch`].
@@ -810,12 +800,8 @@ impl Session {
         requests: &[ComponentRequest],
         workers: usize,
     ) -> Result<Vec<String>, IcdbError> {
-        let epoch = self.service.epoch();
-        let prepared = epoch.prepare_batch(NsId::ROOT, requests, workers);
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.install_batch_in(self.ns, requests, prepared)
-            })
+        let hints = self.service.epoch().prewarm(requests, workers);
+        self.commit(|icdb, ns| icdb.install_all(ns, requests, hints))
     }
 
     /// Executes one CQL command in this session's namespace: parses it
@@ -832,15 +818,16 @@ impl Session {
 
     /// Runs one parsed CQL command in this session's namespace, at the
     /// tier its [`icdb_cql::COMMANDS`] row names (escalated by its terms):
-    /// knowledge-only commands (`component_query`, `cache_query`, …) are
+    /// knowledge-only commands (`component_query`, `explore`, …) are
     /// answered from the epoch snapshot without any lock; the remaining
-    /// read-only commands (`instance_query`, unpublished `explore`, …)
-    /// run under the shared lock; mutating commands take the exclusive
-    /// commit section. A tier that cannot answer hands the same parsed
-    /// command to the next one: an epoch failure (e.g. a component
-    /// missing from a snapshot that is mid-rebuild) retries under the
-    /// shared lock so errors reflect live state, and an instance query
-    /// needing cold layout generation escalates to the exclusive section.
+    /// read-only commands (`instance_query`, …) run under the shared lock;
+    /// mutating commands take the exclusive commit section, after
+    /// `Icdb::prepare_command` pre-warms a request or sweeps on the epoch
+    /// snapshot. A tier that cannot answer hands the same parsed command to
+    /// the next one: an epoch failure (e.g. a component missing from a
+    /// snapshot that is mid-rebuild) retries under the shared lock so
+    /// errors reflect live state, and an instance query needing cold
+    /// layout generation or an `explore` that publishes escalates.
     ///
     /// # Errors
     /// See [`Icdb::execute`].
@@ -867,8 +854,18 @@ impl Session {
         } else {
             Entry::Primary
         };
-        self.service
-            .commit_section(Some(self.ns), entry, |icdb| icdb.dispatch_in(self.ns, cmd))
+        // A cluster named by its design-data file reads the live store.
+        let read_file = |path: &str| Some(self.service.read().files.read(path).ok()?.to_string());
+        let prepared = self.service.epoch().prepare_command(cmd, read_file);
+        let result = self.service.commit_section(Some(self.ns), entry, |icdb| {
+            icdb.dispatch_in(self.ns, cmd, prepared)
+        });
+        if let Err(IcdbError::NotPrimary(_) | IcdbError::ReadOnly(_)) = &result {
+            // A refused publish leaves its sweep's corpus rows queued, and
+            // this server cannot journal them: discard them.
+            self.service.flush_corpus();
+        }
+        result
     }
 
     /// Runs a design-space exploration sweep in this session against the
@@ -954,10 +951,7 @@ impl Session {
         if let Some(cif) = self.service.read().cif_layout_cached_in(self.ns, name)? {
             return Ok(cif);
         }
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.cif_layout_in(self.ns, name)
-            })
+        self.commit(|icdb, ns| icdb.cif_layout_in(ns, name))
     }
 
     /// Regenerates a layout with explicit alternative/port choices
@@ -971,10 +965,7 @@ impl Session {
         alternative: Option<usize>,
         port_positions: Option<&str>,
     ) -> Result<Arc<str>, IcdbError> {
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.generate_layout_in(self.ns, instance, alternative, port_positions)
-            })
+        self.commit(|icdb, ns| icdb.generate_layout_in(ns, instance, alternative, port_positions))
     }
 
     /// Re-estimates an instance under different loads (exclusive commit
@@ -988,10 +979,7 @@ impl Session {
         loads: &LoadSpec,
         clock_width: f64,
     ) -> Result<(), IcdbError> {
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.resize_for_load_in(self.ns, instance, loads, clock_width)
-            })
+        self.commit(|icdb, ns| icdb.resize_for_load_in(ns, instance, loads, clock_width))
     }
 
     /// Names of this session's instances, in creation order.
@@ -1013,10 +1001,7 @@ impl Session {
     /// # Errors
     /// See [`Icdb::start_design`].
     pub fn start_design(&self, name: &str) -> Result<(), IcdbError> {
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.start_design_in(self.ns, name)
-            })
+        self.commit(|icdb, ns| icdb.start_design_in(ns, name))
     }
 
     /// `start_a_transaction` in this session (exclusive commit section).
@@ -1024,10 +1009,7 @@ impl Session {
     /// # Errors
     /// See [`Icdb::start_transaction`].
     pub fn start_transaction(&self, design: &str) -> Result<(), IcdbError> {
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.start_transaction_in(self.ns, design)
-            })
+        self.commit(|icdb, ns| icdb.start_transaction_in(ns, design))
     }
 
     /// `put_in_component_list` in this session (exclusive commit section).
@@ -1035,10 +1017,7 @@ impl Session {
     /// # Errors
     /// See [`Icdb::put_in_component_list`].
     pub fn put_in_component_list(&self, design: &str, instance: &str) -> Result<(), IcdbError> {
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.put_in_component_list_in(self.ns, design, instance)
-            })
+        self.commit(|icdb, ns| icdb.put_in_component_list_in(ns, design, instance))
     }
 
     /// `end_a_transaction` in this session (exclusive commit section).
@@ -1046,10 +1025,7 @@ impl Session {
     /// # Errors
     /// See [`Icdb::end_transaction`].
     pub fn end_transaction(&self, design: &str) -> Result<usize, IcdbError> {
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.end_transaction_in(self.ns, design)
-            })
+        self.commit(|icdb, ns| icdb.end_transaction_in(ns, design))
     }
 
     /// `end_a_design` in this session (exclusive commit section).
@@ -1057,10 +1033,7 @@ impl Session {
     /// # Errors
     /// See [`Icdb::end_design`].
     pub fn end_design(&self, design: &str) -> Result<usize, IcdbError> {
-        self.service
-            .commit_section(Some(self.ns), Entry::Primary, |icdb| {
-                icdb.end_design_in(self.ns, design)
-            })
+        self.commit(|icdb, ns| icdb.end_design_in(ns, design))
     }
 
     /// Knowledge acquisition through this session (global effect: the
@@ -1219,6 +1192,190 @@ mod tests {
             assert_eq!(reopened.read().commit_seq_in(ns).unwrap(), seq);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fresh data directory for a durable test server.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("icdb-service-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The same failing request (an unknown implementation) fails with one
+    /// error text and journals exactly one event through every entry point:
+    /// typed single, typed batch (as the second of two), CQL, embedded
+    /// single and embedded batch.
+    #[test]
+    fn every_entry_point_journals_a_failing_request_once() {
+        let bad = ComponentRequest::by_implementation("GHOST");
+        let batch = [
+            ComponentRequest::by_implementation("ADDER").attribute("size", "3"),
+            bad.clone(),
+        ];
+        let line = "command:request_component; implementation:GHOST; generated_component:?s";
+        let mut seen = Vec::new();
+
+        let served_dir = scratch_dir("journal-served");
+        let service = Arc::new(IcdbService::open(&served_dir).unwrap());
+        let session = service.open_session();
+        let events = || service.persist_stats().unwrap().wal_events;
+        let mut served = |installed: u64, run: &dyn Fn() -> Result<(), IcdbError>| {
+            let before = events();
+            let err = run().unwrap_err().to_string();
+            seen.push((err, events() - before - installed));
+        };
+        served(0, &|| session.request_component(&bad).map(drop));
+        served(1, &|| session.request_components_batch(&batch, 2).map(drop));
+        served(0, &|| session.execute(line, &mut [CqlArg::OutStr(None)]));
+        assert_eq!(session.instance_names(), ["adder$1"]);
+
+        let embedded_dir = scratch_dir("journal-embedded");
+        let mut icdb = Icdb::open(&embedded_dir).unwrap();
+        let events = |icdb: &Icdb| icdb.persist_stats().unwrap().wal_events;
+        let before = events(&icdb);
+        let err = icdb.request_component(&bad).unwrap_err().to_string();
+        seen.push((err, events(&icdb) - before));
+        let before = events(&icdb);
+        let err = icdb.request_components_batch(&batch, 2).unwrap_err();
+        seen.push((err.to_string(), events(&icdb) - before - 1));
+
+        let expected = (
+            IcdbError::NotFound("implementation `GHOST`".into()).to_string(),
+            1,
+        );
+        assert!(seen.iter().all(|s| *s == expected), "{seen:?}");
+        session.park();
+        for dir in [served_dir, embedded_dir] {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    /// One valid script through typed calls and through CQL, each on a
+    /// fresh service: identical names, instance answers, commit sequence
+    /// and cache counters.
+    #[test]
+    fn typed_and_cql_requests_leave_identical_state() {
+        let mut named = ComponentRequest::by_implementation("ADDER").attribute("size", "4");
+        named.instance_name = Some("my_adder".into());
+        let script = [
+            (
+                ComponentRequest::by_component("counter").attribute("size", "4"),
+                "component_name:counter; attribute:(size:4)",
+            ),
+            (
+                ComponentRequest::by_implementation("ADDER")
+                    .attribute("size", "3")
+                    .strategy("fastest"),
+                "implementation:ADDER; attribute:(size:3); strategy:fastest",
+            ),
+            (
+                ComponentRequest::by_component("counter")
+                    .attribute("size", "4")
+                    .clock_width(30.0),
+                "component_name:counter; attribute:(size:4); clock_width:30",
+            ),
+            (
+                ComponentRequest::by_component("counter").attribute("size", "4"),
+                "component_name:counter; attribute:(size:4)",
+            ),
+            (
+                named,
+                "implementation:ADDER; attribute:(size:4); naming:my_adder",
+            ),
+        ];
+        let run = |typed: bool| {
+            let service = IcdbService::shared();
+            let session = service.open_session();
+            let mut answers = Vec::new();
+            for (request, terms) in &script {
+                let name = if typed {
+                    session.request_component(request).unwrap()
+                } else {
+                    let line =
+                        format!("command:request_component; {terms}; generated_component:?s");
+                    let mut args = [CqlArg::OutStr(None)];
+                    session.execute(&line, &mut args).unwrap();
+                    let [CqlArg::OutStr(Some(name))] = args else {
+                        panic!("no name");
+                    };
+                    name
+                };
+                let mut args = vec![CqlArg::InStr(name.clone())];
+                args.extend((0..4).map(|_| CqlArg::OutStr(None)));
+                session
+                    .execute(
+                        "command:instance_query; instance:%s; delay:?s; shape_function:?s; \
+                         area:?s; connect:?s",
+                        &mut args,
+                    )
+                    .unwrap();
+                answers.push((name, format!("{args:?}")));
+            }
+            (
+                answers,
+                session.commit_seq().unwrap(),
+                service.cache_stats(),
+            )
+        };
+        let (typed, cql) = (run(true), run(false));
+        assert_eq!(typed.0, cql.0);
+        assert_eq!((typed.1, typed.2), (cql.1, cql.2));
+        assert_eq!(typed.1, 5);
+    }
+
+    const PARAM_AND: &str = "
+NAME: PARAM_AND;
+PARAMETER: size;
+INORDER: A[size], B[size];
+OUTORDER: O[size];
+VARIABLE: i;
+{
+  #for(i=0;i<size;i++)
+    O[i] = A[i] * B[i];
+}";
+
+    /// A parameterized inline-IIF request binds its attributes, typed and
+    /// over CQL; the repeat is a result-layer hit; attributes that do not
+    /// bind still fail with the IIF errors.
+    #[test]
+    fn inline_iif_requests_bind_their_attributes() {
+        let service = IcdbService::shared();
+        let session = service.open_session();
+        let request = ComponentRequest::from_iif(PARAM_AND).attribute("size", "3");
+        let typed = session.request_component(&request).unwrap();
+        let mut args = [CqlArg::InStr(PARAM_AND.into()), CqlArg::OutStr(None)];
+        session
+            .execute(
+                "command:request_component; IIF:%s; attribute:(size:3); generated_component:?s",
+                &mut args,
+            )
+            .unwrap();
+        let [_, CqlArg::OutStr(Some(served))] = args else {
+            panic!("no name");
+        };
+        assert_eq!((typed.as_str(), served.as_str()), ("iif$1", "iif$2"));
+        let guard = service.read();
+        for name in [&typed, &served] {
+            let inst = guard.instance_in(session.ns(), name).unwrap();
+            assert_eq!(inst.params, [("size".to_string(), 3)]);
+            assert_eq!(inst.netlist.outputs.len(), 3);
+        }
+        drop(guard);
+        let result = service.cache_stats().result;
+        assert_eq!((result.misses, result.hits), (1, 1));
+
+        let missing = session.request_component(&ComponentRequest::from_iif(PARAM_AND));
+        let err = missing.unwrap_err().to_string();
+        assert!(
+            err.contains("IIF design `PARAM_AND` needs attribute `size`"),
+            "{err}"
+        );
+        let wide = ComponentRequest::from_iif(PARAM_AND).attribute("size", "wide");
+        let err = session.request_component(&wide).unwrap_err().to_string();
+        assert!(
+            err.contains("attribute size:wide is not an integer"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -29,8 +29,10 @@ pub struct CommandSpec {
     /// wire-protocol request.
     pub name: &'static str,
     /// The tier the verb runs under unless its terms escalate it to the
-    /// exclusive section (an `explore` that publishes, a `persist` that
-    /// checkpoints, an `instance_query` for an ungenerated layout).
+    /// exclusive section (a `persist` that checkpoints, an
+    /// `instance_query` for an ungenerated layout). An `explore` always
+    /// sweeps at this tier; `publish:1` enters the exclusive section only
+    /// to journal the sweep's rows.
     pub tier: Tier,
     /// Whether its exclusive section still runs while the server refuses
     /// commits — degraded after a durability fault, or a replication

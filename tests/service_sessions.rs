@@ -169,3 +169,48 @@ fn namespace_api_works_without_the_service_wrapper() {
     assert!(icdb.instance_in(ns, &ns_name).is_err());
     assert!(icdb.instance(&root_name).is_ok(), "root untouched");
 }
+
+/// Served generation runs outside the commit section: while one thread
+/// holds the shared guard, which the commit section's write guard cannot
+/// pass, a cold CQL `request_component` and then a cold `explore
+/// publish:1` each fill the result layer before the guard drops. Each
+/// wait is bounded, so a regression fails instead of hanging.
+#[test]
+fn served_generation_runs_outside_the_commit_section() {
+    use icdb::cql::CqlArg;
+    use std::time::{Duration, Instant};
+
+    let service = IcdbService::shared();
+    let mut session = service.open_session();
+    for line in [
+        "command:request_component; implementation:ADDER; attribute:(size:5); \
+         generated_component:?s",
+        "command:explore; implementation:(ADDER); widths:(6,7); publish:1; winner:?s",
+    ] {
+        let guard = service.read();
+        let entries = guard.cache_stats().result.entries;
+        let served = std::thread::spawn(move || {
+            let result = session.execute(line, &mut [CqlArg::OutStr(None)]);
+            (session, result)
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while guard.cache_stats().result.entries == entries {
+            assert!(
+                Instant::now() < deadline,
+                "`{line}` did not generate while the shared guard was held"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(guard);
+        let (back, result) = served.join().unwrap();
+        result.unwrap();
+        session = back;
+    }
+    let rows = service
+        .read()
+        .db
+        .query("SELECT candidate FROM exploration")
+        .unwrap();
+    assert_eq!(rows.len(), 2, "publish:1 journals the sweep's rows");
+    assert_eq!(session.instance_names(), ["adder$1"]);
+}
