@@ -4,18 +4,18 @@
 //! requests (from library specs, inline IIF, or VHDL clusters), connection
 //! queries and component-list management.
 //!
-//! Which lock a command needs comes from its row in the request-verb
-//! table ([`icdb_cql::COMMANDS`]), escalated by its terms in [`route`].
-//! Each command has one handler: [`Icdb::dispatch_read`] answers the
-//! read-only rows through `&self` — so the concurrent
-//! [`crate::service::IcdbService`] can serve them from an epoch snapshot
-//! or under a shared lock — and `dispatch_in` runs the mutating rows plus
-//! the exclusive-only side effects of the read-only ones (layout
-//! generation, relational publishing, checkpoints) before handing over to
-//! the same read handler. Generation runs before it, in
-//! `Icdb::prepare_command` (on the service's epoch snapshot): a component
-//! request is pre-warmed and an `explore` sweeps, so a publishing sweep
-//! only journals its rows inside the commit section.
+//! Every command runs the same steps on both entry points, embedded
+//! [`Icdb::execute_in`] and served [`crate::service::Session::dispatch`]:
+//! [`route`] picks its tier from its [`icdb_cql::COMMANDS`] row and its
+//! terms; [`Icdb::prepare_command`] does its generation — a component
+//! request is pre-warmed, an `explore` sweeps — on the service's epoch
+//! snapshot, and is skipped by a command with nothing to prepare; then a
+//! read-only row answers through [`Icdb::dispatch_read`] (under the
+//! service's shared lock), after a sweep's fresh corpus rows are
+//! journaled, and a mutating row — or a read that needs exclusive access:
+//! an ungenerated layout, an `explore` with `publish:1` — runs
+//! `dispatch_in` (in the service's commit section), which journals a
+//! sweep's rows after its `exploration` rows.
 
 use crate::error::IcdbError;
 use crate::server::Hints;
@@ -27,14 +27,15 @@ use icdb_cql::{
     Tier,
 };
 use icdb_explore::ExplorationReport;
+use std::ops::Deref;
 
 /// The row a parsed command runs under: its [`icdb_cql::COMMANDS`] row
 /// with the tier escalated by its terms. A `persist` that checkpoints,
-/// clears a fault or promotes needs the exclusive section. An unknown
-/// verb gets an exclusive row, so it meets the commit gate before the
-/// dispatcher rejects it. (An `instance_query` for an ungenerated layout,
-/// and an `explore` that publishes, ask for the exclusive section later,
-/// when [`Icdb::dispatch_read`] declines to answer them.)
+/// clears a fault or promotes, and an `explore` that publishes, need the
+/// exclusive section. An unknown verb gets an exclusive row, so it meets
+/// the commit gate before the dispatcher rejects it. (An `instance_query`
+/// for an ungenerated layout asks for the exclusive section later, when
+/// [`Icdb::dispatch_read`] declines to answer it.)
 pub(crate) fn route(cmd: &Command) -> Result<CommandSpec, IcdbError> {
     let Some(&spec) = command_spec(&cmd.name) else {
         return Ok(CommandSpec {
@@ -51,18 +52,20 @@ pub(crate) fn route(cmd: &Command) -> Result<CommandSpec, IcdbError> {
         {
             Tier::Exclusive
         }
+        // A malformed `publish:` stays shared; the sweep rejects it.
+        "explore" if cmd.int_term("publish").unwrap_or(0) != 0 => Tier::Exclusive,
         _ => spec.tier,
     };
     Ok(CommandSpec { tier, ..spec })
 }
 
-/// What [`Icdb::prepare_command`] did before a command's commit section.
+/// What [`Icdb::prepare_command`] did before a command's answer.
 pub(crate) enum Prepared {
-    /// Nothing: the command does all its work inside the section.
+    /// Nothing: the command does all its work in its answer.
     Nothing,
     /// A component request: the request its terms map to, pre-warmed.
     Request(Result<(ComponentRequest, Hints), IcdbError>),
-    /// An `explore` sweep, whose rows the section journals.
+    /// An `explore` sweep: its report and its answer.
     Sweep(Result<(ExplorationReport, Response), IcdbError>),
 }
 
@@ -78,7 +81,10 @@ impl Icdb {
         self.execute_in(NsId::ROOT, command, args)
     }
 
-    /// Executes one CQL command against an explicit session namespace.
+    /// Executes one CQL command against an explicit session namespace,
+    /// through the service's steps, all on `self`: route it, prepare it
+    /// (a request's pre-warm or a sweep), then answer it as a read — after
+    /// journaling a sweep's corpus rows — or commit it.
     ///
     /// # Errors
     /// As [`Icdb::execute`]; also fails on unknown namespaces.
@@ -89,21 +95,31 @@ impl Icdb {
         args: &mut [CqlArg],
     ) -> Result<(), IcdbError> {
         let (cmd, outs) = parse_command(command, args)?;
-        let prepared =
-            self.prepare_command(&cmd, |path| self.files.read(path).ok().map(str::to_string));
+        let route = route(&cmd)?;
+        let read_file = |path: &str| self.files.read(path).ok().map(str::to_string);
+        let prepared = Icdb::prepare_command(&cmd, || &*self, read_file);
+        if route.read_only() {
+            if let Prepared::Sweep(_) = prepared {
+                self.flush_corpus()?;
+            }
+            if let Some(response) = self.dispatch_read(ns, &cmd, &prepared)? {
+                return Ok(bind_outputs(&response, &outs, args)?);
+            }
+        }
         let response = self.dispatch_in(ns, &cmd, prepared)?;
-        bind_outputs(&response, &outs, args)?;
-        Ok(())
+        Ok(bind_outputs(&response, &outs, args)?)
     }
 
-    /// The generation a command does before its commit section, through
-    /// `&self` (the service's epoch snapshot): a component request maps
-    /// its terms to a [`ComponentRequest`], reading a cluster's file
-    /// through `read_file`, and pre-warms it; an `explore` sweeps. Errors
-    /// wait for `dispatch_in`, so they surface after the entry rule.
-    pub(crate) fn prepare_command(
-        &self,
+    /// The generation a command does before its answer: a component
+    /// request maps its terms to a [`ComponentRequest`], reading a
+    /// cluster's file through `read_file`, and pre-warms it; an `explore`
+    /// sweeps. Both run read-only on the server `on` returns (the service's
+    /// epoch snapshot), which a command with nothing to prepare never asks
+    /// for. Errors wait for the answer, so they surface after the commit
+    /// section's entry rule.
+    pub(crate) fn prepare_command<S: Deref<Target = Icdb>>(
         cmd: &Command,
+        on: impl FnOnce() -> S,
         read_file: impl FnOnce(&str) -> Option<String>,
     ) -> Prepared {
         match cmd.name.as_str() {
@@ -113,19 +129,19 @@ impl Icdb {
                     || !cmd.pending_keys().contains(&"CIF_layout") =>
             {
                 Prepared::Request(component_request(cmd, read_file).map(|request| {
-                    let hints = self.prewarm(std::slice::from_ref(&request), 1);
+                    let hints = on().prewarm(std::slice::from_ref(&request), 1);
                     (request, hints)
                 }))
             }
-            "explore" => Prepared::Sweep(self.exec_explore(cmd)),
+            "explore" => Prepared::Sweep(on().exec_explore(cmd)),
             _ => Prepared::Nothing,
         }
     }
 
     /// Runs one parsed command with exclusive access, after
-    /// [`Icdb::prepare_command`]: a mutating command's handler, or a
-    /// read-only command's exclusive-only side effects followed by its
-    /// shared handler.
+    /// [`Icdb::prepare_command`]: a mutating command's handler, a
+    /// publishing sweep's journal, or an ungenerated layout followed by
+    /// its `instance_query` answer.
     pub(crate) fn dispatch_in(
         &mut self,
         ns: NsId,
@@ -138,15 +154,14 @@ impl Icdb {
                 return self.exec_request_component(ns, cmd, &request, hints);
             }
             Prepared::Sweep(sweep) => {
-                // Mirror the report into the relational `exploration` table
-                // unless `publish:0`, and journal the sweep's fresh
-                // evaluations into the durable corpus.
-                let (report, resp) = sweep?;
-                if flag(cmd, "publish", true)? {
-                    self.publish_exploration(&report)?;
+                // Only a `publish:1` sweep gets here ([`route`]): mirror its
+                // report into the relational `exploration` table, then
+                // journal its fresh evaluations, pass or fail.
+                if let Ok((report, _)) = &sweep {
+                    self.publish_exploration(report)?;
                 }
                 self.flush_corpus()?;
-                return Ok(resp);
+                return sweep.map(|(_, resp)| resp);
             }
             Prepared::Nothing => {}
         }
@@ -192,15 +207,6 @@ impl Icdb {
                 let name = instance_query_target(cmd)?;
                 self.cif_layout_in(ns, &name)?;
             }
-            // Also refresh the relational `cache_stats` table.
-            "cache_query" => {
-                self.publish_cache_stats()?;
-            }
-            // Fold pending sweep recordings in first, so the answered
-            // counts include the latest sweep.
-            "corpus" => {
-                self.flush_corpus()?;
-            }
             // `checkpoint:1` snapshots + rotates the WAL before reporting;
             // `clear_fault:1` checkpoints only when a durability fault is
             // latched — the explicit operator action re-arming a degraded
@@ -216,22 +222,23 @@ impl Icdb {
             }
             _ => {}
         }
-        self.dispatch_read(ns, cmd)?.ok_or_else(|| {
-            IcdbError::Unsupported(
-                "instance_query still needs exclusive access after layout generation".into(),
-            )
-        })
+        self.dispatch_read(ns, cmd, &Prepared::Nothing)?
+            .ok_or_else(|| {
+                IcdbError::Unsupported(
+                    "instance_query still needs exclusive access after layout generation".into(),
+                )
+            })
     }
 
-    /// Answers one parsed read-only command through `&self`. Returns
-    /// `Ok(None)` when it needs exclusive access after all — an
-    /// `instance_query` asking for a CIF layout that has not been
-    /// generated yet, or an `explore` whose `publish:` term asks to
-    /// journal its rows (it then sweeps in [`Icdb::prepare_command`]).
+    /// Answers one parsed read-only command through `&self`, an `explore`
+    /// from its `prepared` sweep. Returns `Ok(None)` when it needs
+    /// exclusive access after all: an `instance_query` asking for a CIF
+    /// layout that has not been generated yet.
     pub(crate) fn dispatch_read(
         &self,
         ns: NsId,
         cmd: &Command,
+        prepared: &Prepared,
     ) -> Result<Option<Response>, IcdbError> {
         let response = match cmd.name.as_str() {
             "component_query" => self.exec_component_query(cmd)?,
@@ -241,8 +248,10 @@ impl Icdb {
             "merge_query" => self.exec_merge_query(cmd)?,
             "tool_query" => self.exec_tool_query(cmd)?,
             "cache_query" => self.exec_cache_query(cmd)?,
-            "explore" if cmd.int_term("publish").unwrap_or(0) != 0 => return Ok(None),
-            "explore" => self.exec_explore(cmd)?.1,
+            "explore" => match prepared {
+                Prepared::Sweep(sweep) => sweep.as_ref().map_err(IcdbError::clone)?.1.clone(),
+                _ => return Err(IcdbError::Unsupported("explore without its sweep".into())),
+            },
             "corpus" => self.exec_corpus(cmd)?,
             "persist" => self.exec_persist(cmd)?,
             "metrics" => self.exec_metrics(cmd)?,
@@ -279,11 +288,7 @@ impl Icdb {
             };
         let matching: Vec<&crate::library::ComponentImpl> = candidates
             .into_iter()
-            .filter(|c| {
-                functions
-                    .iter()
-                    .all(|f| c.functions.iter().any(|cf| cf.eq_ignore_ascii_case(f)))
-            })
+            .filter(|c| c.executes_all(&functions))
             .collect();
 
         for key in cmd.pending_keys() {
@@ -307,11 +312,7 @@ impl Icdb {
                     }
                     resp.set(key, CqlValue::StrList(dedup));
                 }
-                other => {
-                    return Err(IcdbError::Cql(format!(
-                        "component_query cannot answer `{other}`"
-                    )))
-                }
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok(resp)
@@ -340,11 +341,7 @@ impl Icdb {
                     types.dedup();
                     resp.set(key, CqlValue::StrList(types));
                 }
-                other => {
-                    return Err(IcdbError::Cql(format!(
-                        "function_query cannot answer `{other}`"
-                    )))
-                }
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok(resp)
@@ -372,11 +369,7 @@ impl Icdb {
                     let cif = self.cif_layout_in(ns, &name)?;
                     resp.set(key, CqlValue::Str(cif.to_string()));
                 }
-                other => {
-                    return Err(IcdbError::Cql(format!(
-                        "request_component cannot answer `{other}`"
-                    )))
-                }
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok(resp)
@@ -415,11 +408,7 @@ impl Icdb {
                     );
                 }
                 "power" => resp.set(key, CqlValue::Str(self.power_string_in(ns, &name)?)),
-                other => {
-                    return Err(IcdbError::Cql(format!(
-                        "instance_query cannot answer `{other}`"
-                    )))
-                }
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok(Some(resp))
@@ -466,11 +455,7 @@ impl Icdb {
         for key in cmd.pending_keys() {
             match key {
                 "implementation" | "inserted" => resp.set(key, CqlValue::Str(name.clone())),
-                other => {
-                    return Err(IcdbError::Cql(format!(
-                        "insert_component cannot answer `{other}`"
-                    )))
-                }
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok(resp)
@@ -489,11 +474,7 @@ impl Icdb {
         for key in cmd.pending_keys() {
             match key {
                 "merged" | "candidates" => resp.set(key, CqlValue::StrList(merged.clone())),
-                other => {
-                    return Err(IcdbError::Cql(format!(
-                        "merge_query cannot answer `{other}`"
-                    )))
-                }
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok(resp)
@@ -528,11 +509,7 @@ impl Icdb {
                         CqlValue::StrList(g.steps.iter().map(|s| s.tool.clone()).collect()),
                     );
                 }
-                other => {
-                    return Err(IcdbError::Cql(format!(
-                        "tool_query cannot answer `{other}`"
-                    )))
-                }
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok(resp)
@@ -540,8 +517,9 @@ impl Icdb {
 
     /// `cache_query`: generation-cache statistics (hits, misses, evictions,
     /// entries, capacity — summed over the flat/netlist/result layers, or
-    /// per layer via `layer:<name>`). The exclusive-access path also
-    /// refreshes the relational `cache_stats` table before calling this.
+    /// per layer via `layer:<name>`). Read-only: the relational
+    /// `cache_stats` table is refreshed by [`Icdb::publish_cache_stats`]
+    /// alone.
     fn exec_cache_query(&self, cmd: &Command) -> Result<Response, IcdbError> {
         let stats = self.cache_stats();
         let layer = match cmd.str_term("layer") {
@@ -575,11 +553,7 @@ impl Icdb {
                 "evictions" => resp.set(key, CqlValue::Int(evictions as i64)),
                 "entries" => resp.set(key, CqlValue::Int(entries as i64)),
                 "capacity" => resp.set(key, CqlValue::Int(capacity as i64)),
-                other => {
-                    return Err(IcdbError::Cql(format!(
-                        "cache_query cannot answer `{other}`"
-                    )))
-                }
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok(resp)
@@ -599,9 +573,8 @@ impl Icdb {
     ///
     /// The sweep itself is read-only: the service runs it on its epoch
     /// snapshot. Add `publish:1` to also refresh the relational
-    /// `exploration` table; the service then journals the rows in its
-    /// commit section after the sweep (embedded [`Icdb::execute`]
-    /// refreshes it unless `publish:0`).
+    /// `exploration` table; the rows are then journaled in the commit
+    /// section after the sweep, on every entry point.
     fn exec_explore(
         &self,
         cmd: &Command,
@@ -773,7 +746,7 @@ impl Icdb {
                     let v = winner_metric(&|p| p.power, key)?;
                     resp.set(key, v);
                 }
-                other => return Err(IcdbError::Cql(format!("explore cannot answer `{other}`"))),
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok((report, resp))
@@ -897,7 +870,7 @@ impl Icdb {
                     let v = exact_metric(&|p| p.power, key)?;
                     resp.set(key, v);
                 }
-                other => return Err(IcdbError::Cql(format!("corpus cannot answer `{other}`"))),
+                other => return Err(cannot_answer(cmd, other)),
             }
         }
         Ok(resp)
@@ -927,7 +900,7 @@ impl Icdb {
             // `events` is the historical alias for `wal_events`.
             let canonical = if key == "events" { "wal_events" } else { key };
             let Some((_, value)) = fields.iter().find(|(k, _)| *k == canonical) else {
-                return Err(IcdbError::Cql(format!("persist cannot answer `{key}`")));
+                return Err(cannot_answer(cmd, key));
             };
             resp.set(key, value.clone());
         }
@@ -1007,6 +980,11 @@ fn flag(cmd: &Command, key: &str, default: bool) -> Result<bool, IcdbError> {
         (true, Some(v)) => Ok(v != 0),
         (true, None) => Err(IcdbError::Cql(format!("{} {key}: takes 0 or 1", cmd.name))),
     }
+}
+
+/// The error for an output a command has no answer for.
+fn cannot_answer(cmd: &Command, key: &str) -> IcdbError {
+    IcdbError::Cql(format!("{} cannot answer `{key}`", cmd.name))
 }
 
 fn design_of(cmd: &Command) -> Result<String, IcdbError> {

@@ -529,10 +529,10 @@ impl Icdb {
         Ok(name)
     }
 
-    /// `DELETE FROM table` + re-insert the recorded rows (the publish
-    /// events' replay form).
+    /// Empty the table + re-insert the recorded rows (the publish events'
+    /// replay form).
     fn apply_publish_table(&mut self, table: &str, rows: &[Vec<Value>]) -> Result<(), IcdbError> {
-        self.db.execute(&format!("DELETE FROM {table}"))?;
+        self.db.delete(table, &[])?;
         for row in rows {
             self.db.insert(table, row.clone())?;
         }

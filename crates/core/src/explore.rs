@@ -562,9 +562,10 @@ mod tests {
             .is_err());
     }
 
-    /// The embedded `explore` publishes unless `publish:0` says otherwise.
+    /// The embedded `explore` publishes only with `publish:1`, as the
+    /// served one does.
     #[test]
-    fn embedded_explore_publishes_unless_publish_is_zero() {
+    fn embedded_explore_publishes_only_with_publish_one() {
         let mut icdb = Icdb::new();
         let rows = |icdb: &Icdb| icdb.db.query("SELECT candidate FROM exploration").unwrap();
         let sweep = |publish: &str| {
@@ -574,10 +575,9 @@ mod tests {
         icdb.execute(&sweep(" publish:0;"), &mut args).unwrap();
         assert!(rows(&icdb).is_empty(), "publish:0 leaves the table alone");
         icdb.execute(&sweep(""), &mut args).unwrap();
-        let published = rows(&icdb).len();
-        assert!(published > 0, "no publish: term publishes");
+        assert!(rows(&icdb).is_empty(), "no publish: term leaves it alone");
         icdb.execute(&sweep(" publish:1;"), &mut args).unwrap();
-        assert_eq!(rows(&icdb).len(), published);
+        assert!(!rows(&icdb).is_empty(), "publish:1 publishes");
     }
 
     #[test]

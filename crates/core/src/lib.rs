@@ -212,27 +212,25 @@ impl Icdb {
         }
     }
 
-    /// A read-only *epoch snapshot* of the knowledge side of this server:
-    /// cloned library, cell library and tool registry, the **shared**
-    /// generation cache (the cache is internally synchronized and its
-    /// keys embed the knowledge versions, so warm entries stay valid
-    /// exactly as long as the snapshot itself), and fresh empty
-    /// namespaces/stores. The service hands an `Arc` of this to warm
-    /// prepares, exploration sweeps and knowledge-only CQL queries so
-    /// they run without taking *any* service lock; a snapshot is stale —
-    /// and gets rebuilt — the moment knowledge acquisition bumps the
-    /// library or cell versions.
+    /// A read-only *epoch snapshot* of what generation reads: cloned
+    /// component and cell libraries, the **shared** generation cache (the
+    /// cache is internally synchronized and its keys embed the knowledge
+    /// versions, so warm entries stay valid exactly as long as the
+    /// snapshot itself) and the shared exploration corpus. The service
+    /// hands an `Arc` of this to request pre-warms and exploration sweeps
+    /// so they run without taking *any* service lock; a snapshot is stale
+    /// — and gets rebuilt — the moment knowledge acquisition bumps the
+    /// library or cell versions, the only state it copies.
     ///
-    /// Only knowledge/cache state is meaningful here: instance data,
-    /// the relational catalog and the file store are empty, so the
-    /// snapshot must never serve instance queries.
+    /// It serves generation only, never an answer: its namespaces,
+    /// relational catalog, file store and tool registry are empty.
     pub(crate) fn read_snapshot(&self) -> Icdb {
         Icdb {
             library: self.library.clone(),
             cells: self.cells.clone(),
             db: Database::new(),
             files: FileStore::new(),
-            tools: self.tools.clone(),
+            tools: ToolManager::new(),
             cache: Arc::clone(&self.cache),
             corpus: Arc::clone(&self.corpus),
             spaces: space::Spaces::new(),

@@ -38,6 +38,14 @@ pub struct ComponentImpl {
 }
 
 impl ComponentImpl {
+    /// Whether this implementation executes every listed function
+    /// (case-insensitive GENUS names; an empty list always holds).
+    pub fn executes_all(&self, functions: &[String]) -> bool {
+        functions
+            .iter()
+            .all(|f| self.functions.iter().any(|cf| cf.eq_ignore_ascii_case(f)))
+    }
+
     /// Resolves attribute overrides (textual `key:value` pairs) into the
     /// positional parameter values the expander needs.
     ///
@@ -179,11 +187,7 @@ impl GenericComponentLibrary {
     pub fn by_functions(&self, functions: &[String]) -> Vec<&ComponentImpl> {
         self.impls
             .iter()
-            .filter(|c| {
-                functions
-                    .iter()
-                    .all(|f| c.functions.iter().any(|cf| cf.eq_ignore_ascii_case(f)))
-            })
+            .filter(|c| c.executes_all(functions))
             .collect()
     }
 

@@ -295,17 +295,15 @@ impl Icdb {
                     Some(ty) if !ty.is_empty() => self.library.by_component_type(ty),
                     _ => self.library.iter().collect(),
                 };
-                let executes_all = |c: &&ComponentImpl| {
-                    functions
-                        .iter()
-                        .all(|f| c.functions.iter().any(|cf| cf.eq_ignore_ascii_case(f)))
-                };
-                candidates.into_iter().find(executes_all).ok_or_else(|| {
-                    IcdbError::NotFound(format!(
-                        "no implementation for component {component_name:?} functions \
-                         {functions:?}"
-                    ))
-                })?
+                candidates
+                    .into_iter()
+                    .find(|c| c.executes_all(functions))
+                    .ok_or_else(|| {
+                        IcdbError::NotFound(format!(
+                            "no implementation for component {component_name:?} functions \
+                             {functions:?}"
+                        ))
+                    })?
             }
             Source::Iif(text) => {
                 let module = icdb_iif::parse(text)?;
@@ -814,10 +812,8 @@ impl Icdb {
 
     /// Removes an instance's row from the relational `instances` table.
     pub(crate) fn delete_catalog_row(&mut self, ns: NsId, name: &str) {
-        let _ = self.db.execute(&format!(
-            "DELETE FROM instances WHERE name = '{}'",
-            Namespace::db_name(ns, name)
-        ));
+        let name = Value::Text(Namespace::db_name(ns, name));
+        let _ = self.db.delete("instances", &[("name".into(), name)]);
     }
 
     /// §3.3 delay string (`CW …` / `WD port …` / `SD port …`).

@@ -5,22 +5,21 @@
 //! cache and relational catalog behind three cooperating mechanisms,
 //! replacing the single big `RwLock` of earlier revisions:
 //!
-//! * **Epoch snapshots (lock-free reads).** The pre-warm of every
-//!   component request (typed, batched or CQL), knowledge-only CQL
-//!   queries (the `Knowledge` rows of [`icdb_cql::COMMANDS`]:
-//!   `component_query`, `cache_query`, …) and every served sweep are
-//!   answered from an `Icdb::read_snapshot`: a cloned view
-//!   of the knowledge base, cell library and tool registry sharing the
-//!   (internally synchronized) generation cache. Snapshot freshness is
-//!   tracked by two atomic version mirrors — the moment knowledge
-//!   acquisition bumps the library or cell-library version, the cached
-//!   snapshot is stale and the next epoch read rebuilds it under a brief
-//!   shared lock. In steady state these paths take *no* service lock at
-//!   all, and because the cache is shared, a pipeline warmed through a
-//!   snapshot serves the subsequent install as a hint. No shared-lock
-//!   retry follows a failed pre-warm: the install regenerates inside the
-//!   commit section and reports live state. Inside that section only a
-//!   cluster, a failed or stale pre-warm, or a layout generates.
+//! * **Epoch snapshots (lock-free generation).** Generation runs outside
+//!   every service lock, on an `Icdb::read_snapshot`: a cloned view of
+//!   the component and cell libraries sharing the (internally
+//!   synchronized) generation cache and exploration corpus. It serves the
+//!   pre-warm of every component request (typed, batched or CQL) and
+//!   every served sweep, and nothing else: every answer reads live state
+//!   under the shared lock. Snapshot freshness is tracked by two atomic
+//!   version mirrors — the moment knowledge acquisition bumps the library
+//!   or cell-library version, the cached snapshot is stale and the next
+//!   epoch read rebuilds it under a brief shared lock. Because the cache
+//!   is shared, a pipeline warmed through a snapshot serves the
+//!   subsequent install as a hint. No shared-lock retry follows a failed
+//!   pre-warm: the install regenerates inside the commit section and
+//!   reports live state. Inside that section only a cluster, a failed or
+//!   stale pre-warm, or a layout generates.
 //! * **Per-namespace shards (concurrent writers).** Mutations are
 //!   serialized per namespace shard (`crate::space::ShardSet`), not
 //!   globally: the shard lock is held across *enqueue → apply →
@@ -75,12 +74,13 @@
 //! # }
 //! ```
 
+use crate::cql::Prepared;
 use crate::error::IcdbError;
 use crate::persist::PersistStats;
 use crate::space::{NsId, ShardSet};
 use crate::spec::ComponentRequest;
 use crate::{CacheStats, Icdb};
-use icdb_cql::{bind_outputs, parse_command, Command, CqlArg, Response, Tier};
+use icdb_cql::{bind_outputs, parse_command, Command, CqlArg, Response};
 use icdb_estimate::LoadSpec;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -107,8 +107,8 @@ pub struct IcdbService {
     /// Per-namespace write serialization (see module docs): held across
     /// enqueue → apply → durability wait, strictly before `inner`.
     shards: ShardSet,
-    /// The cached epoch snapshot serving lock-free knowledge reads, plus
-    /// the version mirrors that decide its freshness. The mirrors trail
+    /// The cached epoch snapshot serving lock-free generation, plus the
+    /// version mirrors that decide its freshness. The mirrors trail
     /// the live versions by at most one in-flight exclusive section: every
     /// [`WriteGuard`] renotes them as it drops.
     epoch: Mutex<Option<Arc<Icdb>>>,
@@ -235,12 +235,10 @@ impl IcdbService {
         self.epoch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The current epoch snapshot: a lock-free read view of the knowledge
-    /// base (see [`Icdb::read_snapshot`]). Returns the cached snapshot
+    /// The current epoch snapshot: a lock-free view of what generation
+    /// reads (see [`Icdb::read_snapshot`]). Returns the cached snapshot
     /// when its knowledge versions match the mirrors; otherwise rebuilds
-    /// it under a brief shared lock. Callers must route only
-    /// knowledge/cache reads through it — its namespaces and catalog are
-    /// empty.
+    /// it under a brief shared lock. Only pre-warms and sweeps run on it.
     fn epoch(&self) -> Arc<Icdb> {
         let lib = self.lib_version.load(Ordering::Acquire);
         let cells = self.cells_version.load(Ordering::Acquire);
@@ -324,11 +322,11 @@ impl IcdbService {
         }
     }
 
-    /// Journals any exploration-corpus rows queued by lock-free epoch
-    /// sweeps. Best-effort: a follower or degraded primary cannot
-    /// journal corpus rows, so the pending queue is discarded there —
-    /// the corpus is a performance aid, never a correctness dependency,
-    /// and the queue must not grow without bound.
+    /// Journals any exploration-corpus rows queued by epoch sweeps.
+    /// Best-effort: a follower or degraded primary cannot journal corpus
+    /// rows, so the pending queue is discarded there — the corpus is a
+    /// performance aid, never a correctness dependency, and the queue
+    /// must not grow without bound.
     pub(crate) fn flush_corpus(&self) {
         if !self.read().corpus.has_pending() {
             return;
@@ -816,36 +814,26 @@ impl Session {
         Ok(())
     }
 
-    /// Runs one parsed CQL command in this session's namespace, at the
-    /// tier its [`icdb_cql::COMMANDS`] row names (escalated by its terms):
-    /// knowledge-only commands (`component_query`, `explore`, …) are
-    /// answered from the epoch snapshot without any lock; the remaining
-    /// read-only commands (`instance_query`, …) run under the shared lock;
-    /// mutating commands take the exclusive commit section, after
-    /// `Icdb::prepare_command` pre-warms a request or sweeps on the epoch
-    /// snapshot. A tier that cannot answer hands the same parsed command to
-    /// the next one: an epoch failure (e.g. a component missing from a
-    /// snapshot that is mid-rebuild) retries under the shared lock so
-    /// errors reflect live state, and an instance query needing cold
-    /// layout generation or an `explore` that publishes escalates.
+    /// Runs one parsed CQL command in this session's namespace, through
+    /// the steps [`Icdb::execute_in`] runs on an embedded server: its
+    /// generation — a request's pre-warm, a sweep — on the epoch snapshot,
+    /// which a command with nothing to prepare never touches; then a
+    /// read-only command answers under the shared lock, after a sweep's
+    /// corpus rows are journaled, and a mutating command, an ungenerated
+    /// layout or an `explore` with `publish:1` runs in the commit section.
     ///
     /// # Errors
     /// See [`Icdb::execute`].
     pub fn dispatch(&self, cmd: &Command) -> Result<Response, IcdbError> {
         let route = crate::cql::route(cmd)?;
-        if route.tier == Tier::Knowledge {
-            if let Ok(Some(response)) = self.service.epoch().dispatch_read(NsId::ROOT, cmd) {
-                // Epoch sweeps (`explore`) queue corpus rows without a
-                // lock; piggyback their journal flush on the way out.
-                self.service.flush_corpus();
-                return Ok(response);
-            }
-        }
+        // A cluster named by its design-data file reads the live store.
+        let read_file = |path: &str| Some(self.service.read().files.read(path).ok()?.to_string());
+        let prepared = Icdb::prepare_command(cmd, || self.service.epoch(), read_file);
         if route.read_only() {
-            let guard = self.service.read();
-            if let Some(response) = guard.dispatch_read(self.ns, cmd)? {
-                drop(guard);
+            if let Prepared::Sweep(_) = prepared {
                 self.service.flush_corpus();
+            }
+            if let Some(response) = self.service.read().dispatch_read(self.ns, cmd, &prepared)? {
                 return Ok(response);
             }
         }
@@ -854,9 +842,6 @@ impl Session {
         } else {
             Entry::Primary
         };
-        // A cluster named by its design-data file reads the live store.
-        let read_file = |path: &str| Some(self.service.read().files.read(path).ok()?.to_string());
-        let prepared = self.service.epoch().prepare_command(cmd, read_file);
         let result = self.service.commit_section(Some(self.ns), entry, |icdb| {
             icdb.dispatch_in(self.ns, cmd, prepared)
         });
@@ -1407,9 +1392,9 @@ VARIABLE: i;
   G[size-1] = B[size-1];
 }";
 
-    /// Knowledge-only CQL runs against the epoch snapshot; knowledge
-    /// acquisition bumps the version mirrors so the next epoch read is a
-    /// *new* snapshot that sees the new implementation.
+    /// The epoch snapshot stays cached while the knowledge versions hold;
+    /// knowledge acquisition bumps the version mirrors so the next epoch
+    /// read is a *new* snapshot that sees the new implementation.
     #[test]
     fn epoch_snapshot_tracks_knowledge_versions() {
         let service = IcdbService::shared();
@@ -1417,7 +1402,7 @@ VARIABLE: i;
         let before = service.epoch();
         // Same versions → same cached snapshot, no rebuild.
         assert_eq!(Arc::as_ptr(&before), Arc::as_ptr(&service.epoch()));
-        // The knowledge-only fast path answers through the snapshot.
+        // Knowledge queries answer from live state.
         let mut args = vec![CqlArg::OutStrList(None)];
         session
             .execute(
@@ -1447,9 +1432,9 @@ VARIABLE: i;
         assert!(before.library.implementation("GRAY_COUNTER").is_none());
     }
 
-    /// Knowledge acquired through a raw `write()` guard reaches a session
-    /// whose epoch snapshot was already warm: the guard renotes the
-    /// version mirrors as it drops.
+    /// Knowledge acquired through a raw `write()` guard reaches the next
+    /// query and the next epoch snapshot, though one was already warm:
+    /// the guard renotes the version mirrors as it drops.
     #[test]
     fn raw_write_guard_knowledge_reaches_the_next_epoch_query() {
         let service = IcdbService::shared();
@@ -1467,7 +1452,15 @@ VARIABLE: i;
                 other => panic!("no names: {other:?}"),
             }
         };
+        let gray = || {
+            service
+                .epoch()
+                .library
+                .implementation("GRAY_COUNTER")
+                .is_some()
+        };
         assert!(!counters().iter().any(|n| n == "GRAY_COUNTER"));
+        assert!(!gray());
         service
             .write()
             .insert_implementation(
@@ -1480,6 +1473,99 @@ VARIABLE: i;
             )
             .unwrap();
         assert!(counters().iter().any(|n| n == "GRAY_COUNTER"));
+        assert!(gray());
+    }
+
+    /// A generator registered through a raw `write()` guard is listed by
+    /// the next `tool_query`: answers read the live registry.
+    #[test]
+    fn raw_write_guard_generators_reach_the_next_tool_query() {
+        let service = IcdbService::shared();
+        let session = service.open_session();
+        let generators = || {
+            let mut args = vec![CqlArg::OutStrList(None)];
+            session
+                .execute("command:tool_query; generators:?s[]", &mut args)
+                .unwrap();
+            match args.pop() {
+                Some(CqlArg::OutStrList(Some(names))) => names,
+                other => panic!("no generators: {other:?}"),
+            }
+        };
+        let before = generators();
+        let step = crate::ToolStep {
+            step: 1,
+            tool: "iif-expander".into(),
+        };
+        service
+            .write()
+            .register_generator(crate::GeneratorInfo {
+                name: "probe-generator".into(),
+                accepts: "iif".into(),
+                steps: vec![step],
+                description: "raw guard probe".into(),
+            })
+            .unwrap();
+        let after = generators();
+        assert_eq!(after.len(), before.len() + 1, "{after:?}");
+        assert!(after.iter().any(|n| n == "probe-generator"), "{after:?}");
+    }
+
+    /// A failing sweep runs once on either entry point: served and
+    /// embedded, it fails with one error text and counts the same corpus
+    /// misses and cache lookups.
+    #[test]
+    fn a_failing_sweep_counts_its_lookups_once_on_every_entry_point() {
+        let line = "command:explore; implementation:(COUNTER,ADDER); widths:(0,4); enable:0; \
+                    winner:?s";
+        let counts = |icdb: &Icdb| {
+            let cache = icdb.cache_stats();
+            (icdb.corpus_stats().misses, cache.hits() + cache.misses())
+        };
+        let service = IcdbService::shared();
+        let session = service.open_session();
+        let served = session.execute(line, &mut [CqlArg::OutStr(None)]);
+        let served = (served.unwrap_err().to_string(), counts(&service.read()));
+        let mut icdb = Icdb::new();
+        let embedded = icdb.execute(line, &mut [CqlArg::OutStr(None)]);
+        let embedded = (embedded.unwrap_err().to_string(), counts(&icdb));
+        assert_eq!(served, embedded);
+        assert!(
+            served.1 .0 > 0,
+            "the sweep looked its points up: {served:?}"
+        );
+    }
+
+    /// Catalog rows go with their instances whatever the names hold:
+    /// ending a transaction deletes the row of the instance it drops and
+    /// keeps the listed one's, and closing the session deletes the rest.
+    #[test]
+    fn catalog_rows_follow_their_instances_whatever_the_name() {
+        let service = IcdbService::shared();
+        let rows = || -> Vec<String> {
+            let guard = service.read();
+            let rows = guard.db.query("SELECT name FROM instances").unwrap();
+            rows.iter()
+                .map(|row| row[0].as_text().unwrap().to_string())
+                .collect()
+        };
+        let named = |name: &str| {
+            let mut request = ComponentRequest::by_implementation("ADDER").attribute("size", "2");
+            request.instance_name = Some(name.into());
+            request
+        };
+        let session = service.open_session();
+        session.start_design("d").unwrap();
+        session.start_transaction("d").unwrap();
+        for name in ["a", "a' x '"] {
+            session.request_component(&named(name)).unwrap();
+        }
+        session.put_in_component_list("d", "a").unwrap();
+        assert_eq!(session.end_transaction("d").unwrap(), 1);
+        assert_eq!(rows(), [format!("s{}:a", session.ns().raw())]);
+        session.request_component(&named("o'brien")).unwrap();
+        session.close();
+        assert!(rows().is_empty(), "{:?}", rows());
     }
 
     /// Same-shard sessions serialize their commits; different-shard

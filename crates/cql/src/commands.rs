@@ -5,15 +5,12 @@
 //! client's retry and follower-routing decisions all read this one table,
 //! so adding a command is one row here plus one handler.
 
-/// Where a request verb runs.
+/// Where a request verb runs. Generation a CQL command needs first — a
+/// request's pre-warm, an `explore` sweep — runs before either lock tier,
+/// on the service's epoch snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Reads only shared knowledge state (component and cell libraries,
-    /// generation cache, tool registry, exploration corpus): answered
-    /// from a lock-free epoch snapshot.
-    Knowledge,
-    /// Reads a session namespace or the journal: answered under the
-    /// shared service lock.
+    /// Reads: answered from live state under the shared service lock.
     Shared,
     /// Mutates: runs in the exclusive commit section, and its wire ack
     /// carries the namespace's commit sequence.
@@ -29,10 +26,10 @@ pub struct CommandSpec {
     /// wire-protocol request.
     pub name: &'static str,
     /// The tier the verb runs under unless its terms escalate it to the
-    /// exclusive section (a `persist` that checkpoints, an
-    /// `instance_query` for an ungenerated layout). An `explore` always
-    /// sweeps at this tier; `publish:1` enters the exclusive section only
-    /// to journal the sweep's rows.
+    /// exclusive section: a `persist` that checkpoints, clears a fault or
+    /// promotes, an `explore` with `publish:1`, or an `instance_query` for
+    /// an ungenerated layout. An `explore` sweeps before either tier and
+    /// enters the exclusive section only to journal its `publish:1` rows.
     pub tier: Tier,
     /// Whether its exclusive section still runs while the server refuses
     /// commits — degraded after a durability fault, or a replication
@@ -46,7 +43,7 @@ impl CommandSpec {
     /// and a client may re-send it after a dropped connection or route it
     /// to a follower.
     pub fn read_only(&self) -> bool {
-        matches!(self.tier, Tier::Knowledge | Tier::Shared)
+        self.tier == Tier::Shared
     }
 }
 
@@ -62,8 +59,8 @@ const fn row(name: &'static str, tier: Tier) -> CommandSpec {
 /// per-command metric slots and of their `icdb_requests_total{command=…}`
 /// samples.
 pub const COMMANDS: &[CommandSpec] = &[
-    row("component_query", Tier::Knowledge),
-    row("function_query", Tier::Knowledge),
+    row("component_query", Tier::Shared),
+    row("function_query", Tier::Shared),
     row("request_component", Tier::Exclusive),
     row("instance_query", Tier::Shared),
     row("connect_component", Tier::Shared),
@@ -73,17 +70,17 @@ pub const COMMANDS: &[CommandSpec] = &[
     row("end_a_transaction", Tier::Exclusive),
     row("end_a_design", Tier::Exclusive),
     row("insert_component", Tier::Exclusive),
-    row("merge_query", Tier::Knowledge),
-    row("tool_query", Tier::Knowledge),
-    row("cache_query", Tier::Knowledge),
-    row("explore", Tier::Knowledge),
+    row("merge_query", Tier::Shared),
+    row("tool_query", Tier::Shared),
+    row("cache_query", Tier::Shared),
+    row("explore", Tier::Shared),
     CommandSpec {
         name: "persist",
         tier: Tier::Shared,
         rearms: true,
     },
     row("metrics", Tier::Shared),
-    row("corpus", Tier::Knowledge),
+    row("corpus", Tier::Shared),
     row("attach", Tier::Wire),
     row("hello", Tier::Wire),
     row("wait_seq", Tier::Wire),

@@ -211,13 +211,8 @@ impl Database {
             .tables
             .get(&tname)
             .ok_or_else(|| serr(format!("no table `{tname}`")))?;
-        let predicate = parse_where(&toks, &mut i, table)?;
-        if i != toks.len() {
-            return Err(serr(format!(
-                "trailing tokens after query: `{}`",
-                toks[i].text
-            )));
-        }
+        let predicate = Predicate::new(table, &parse_where(&toks, &mut i)?)?;
+        expect_end(&toks, i, "query")?;
         let proj: Vec<usize> = if star {
             (0..table.columns.len()).collect()
         } else {
@@ -236,6 +231,23 @@ impl Database {
             }
         }
         Ok(out)
+    }
+
+    /// `DELETE FROM table WHERE column = value AND …` built from no SQL
+    /// text, so a value may hold any characters (no test deletes every
+    /// row); returns how many rows went.
+    ///
+    /// # Errors
+    /// Fails on an unknown table or column.
+    pub fn delete(&mut self, table: &str, tests: &[(String, Value)]) -> Result<usize, StoreError> {
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| serr(format!("no table `{table}`")))?;
+        let predicate = Predicate::new(t, tests)?;
+        let before = t.rows.len();
+        t.rows.retain(|r| !predicate.matches(r));
+        Ok(before - t.rows.len())
     }
 
     /// Programmatic insert (used by the managers on hot paths).
@@ -338,15 +350,9 @@ impl Database {
         let mut i = 1;
         expect_kw(toks, &mut i, "FROM")?;
         let name = ident(toks, &mut i)?;
-        let table = self
-            .tables
-            .get(&name)
-            .ok_or_else(|| serr(format!("no table `{name}`")))?;
-        let predicate = parse_where(toks, &mut i, table)?;
-        let table = self.tables.get_mut(&name).expect("checked above");
-        let before = table.rows.len();
-        table.rows.retain(|r| !predicate.matches(r));
-        Ok(before - table.rows.len())
+        let tests = parse_where(toks, &mut i)?;
+        expect_end(toks, i, "statement")?;
+        self.delete(&name, &tests)
     }
 }
 
@@ -356,6 +362,19 @@ struct Predicate {
 }
 
 impl Predicate {
+    /// Resolves `(column, value)` tests against `table`'s columns.
+    fn new(table: &Table, tests: &[(String, Value)]) -> Result<Predicate, StoreError> {
+        let resolve = |(col, value): &(String, Value)| {
+            let missing = || serr(format!("no column `{col}` in `{}`", table.name));
+            Ok((table.column_index(col).ok_or_else(missing)?, value.clone()))
+        };
+        let tests = tests
+            .iter()
+            .map(resolve)
+            .collect::<Result<_, StoreError>>()?;
+        Ok(Predicate { tests })
+    }
+
     fn matches(&self, row: &[Value]) -> bool {
         self.tests.iter().all(|(c, v)| values_equal(&row[*c], v))
     }
@@ -368,18 +387,14 @@ fn values_equal(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn parse_where(toks: &[Tok], i: &mut usize, table: &Table) -> Result<Predicate, StoreError> {
+fn parse_where(toks: &[Tok], i: &mut usize) -> Result<Vec<(String, Value)>, StoreError> {
     let mut tests = Vec::new();
     if toks.get(*i).map(|t| t.upper()).as_deref() == Some("WHERE") {
         *i += 1;
         loop {
             let col = ident(toks, i)?;
-            let ci = table
-                .column_index(&col)
-                .ok_or_else(|| serr(format!("no column `{col}` in `{}`", table.name)))?;
             expect_sym(toks, i, "=")?;
-            let lit = literal(toks, i)?;
-            tests.push((ci, lit));
+            tests.push((col, literal(toks, i)?));
             if toks.get(*i).map(|t| t.upper()).as_deref() == Some("AND") {
                 *i += 1;
             } else {
@@ -387,7 +402,7 @@ fn parse_where(toks: &[Tok], i: &mut usize, table: &Table) -> Result<Predicate, 
             }
         }
     }
-    Ok(Predicate { tests })
+    Ok(tests)
 }
 
 #[derive(Debug, Clone)]
@@ -488,6 +503,13 @@ fn expect_kw(toks: &[Tok], i: &mut usize, kw: &str) -> Result<(), StoreError> {
         Ok(())
     } else {
         Err(serr(format!("expected `{kw}`, found `{}`", t.text)))
+    }
+}
+
+fn expect_end(toks: &[Tok], i: usize, what: &str) -> Result<(), StoreError> {
+    match toks.get(i) {
+        None => Ok(()),
+        Some(t) => Err(serr(format!("trailing tokens after {what}: `{}`", t.text))),
     }
 }
 
@@ -654,6 +676,31 @@ mod tests {
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(db.query("SELECT * FROM comp").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn delete_takes_any_value_and_rejects_trailing_tokens() {
+        let mut db = db();
+        db.insert(
+            "comp",
+            vec![
+                Value::Text("it' x '".into()),
+                Value::Text("adder".into()),
+                Value::Real(1.0),
+                Value::Int(1),
+            ],
+        )
+        .unwrap();
+        let e = db
+            .execute("DELETE FROM comp WHERE name = 'cnt5' x ''")
+            .unwrap_err();
+        assert!(e.message.contains("trailing tokens"), "{e}");
+        assert_eq!(db.query("SELECT * FROM comp").unwrap().len(), 4);
+        let name = [("name".to_string(), Value::Text("it' x '".into()))];
+        assert_eq!(db.delete("comp", &name).unwrap(), 1);
+        assert_eq!(db.delete("comp", &name).unwrap(), 0);
+        assert!(db.delete("comp", &[("nope".into(), Value::Null)]).is_err());
+        assert_eq!(db.delete("comp", &[]).unwrap(), 3);
     }
 
     #[test]

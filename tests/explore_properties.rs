@@ -467,7 +467,7 @@ fn cql_explore_matches_the_direct_api_and_publishes() {
     ];
     icdb.execute(
         "command:explore; component:counter; widths:(3,4,5); \
-         strategies:(cheapest,fastest); max_delay:%r; \
+         strategies:(cheapest,fastest); max_delay:%r; publish:1; \
          winner:?s; front:?s[]; points:?d; area:?r",
         &mut args,
     )
@@ -489,8 +489,8 @@ fn cql_explore_matches_the_direct_api_and_publishes() {
     assert_eq!(*points as usize, direct.points.len());
     assert_eq!(*area, direct.winner_point().unwrap().area);
 
-    // The exclusive-path execute also mirrored the report into the
-    // relational `exploration` table.
+    // `publish:1` also mirrored the report into the relational
+    // `exploration` table.
     let rows = icdb
         .db
         .query("SELECT candidate FROM exploration WHERE pareto = 1")

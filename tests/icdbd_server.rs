@@ -392,26 +392,56 @@ impl Drop for Daemon {
     }
 }
 
-fn spawn_icdbd() -> (Daemon, u16) {
-    let port = TcpListener::bind("127.0.0.1:0")
+fn free_port() -> u16 {
+    TcpListener::bind("127.0.0.1:0")
         .unwrap()
         .local_addr()
         .unwrap()
-        .port();
+        .port()
+}
+
+/// A durable `icdbd` over `data_dir` with a metrics listener: its CQL port
+/// and its metrics port.
+fn spawn_icdbd(data_dir: &std::path::Path) -> (Daemon, u16, u16) {
+    let (port, metrics) = (free_port(), free_port());
     let daemon = Daemon(
         Command::new(env!("CARGO_BIN_EXE_icdbd"))
             .args(["--addr", &format!("127.0.0.1:{port}"), "--workers", "1"])
+            .args(["--metrics-addr", &format!("127.0.0.1:{metrics}")])
+            .arg("--data-dir")
+            .arg(data_dir)
+            .arg("--no-fsync")
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
             .expect("spawn icdbd"),
     );
     let deadline = Instant::now() + Duration::from_secs(30);
-    while TcpStream::connect(("127.0.0.1", port)).is_err() {
+    let up = |port: u16| TcpStream::connect(("127.0.0.1", port)).is_ok();
+    while !up(port) || !up(metrics) {
         assert!(Instant::now() < deadline, "icdbd did not come up");
         std::thread::sleep(Duration::from_millis(50));
     }
-    (daemon, port)
+    (daemon, port, metrics)
+}
+
+/// Label-less samples of one metrics scrape, which bills no request label.
+fn scrape(port: u16, names: &[&str]) -> Vec<u64> {
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect metrics port");
+    stream
+        .write_all(b"GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n")
+        .unwrap();
+    let mut body = String::new();
+    std::io::Read::read_to_string(&mut stream, &mut body).unwrap();
+    let sample = |name: &str| {
+        let prefix = format!("{name} ");
+        let value = body.lines().find_map(|line| line.strip_prefix(&prefix));
+        value
+            .unwrap_or_else(|| panic!("no `{name}`"))
+            .parse()
+            .unwrap()
+    };
+    names.iter().map(|name| sample(name)).collect()
 }
 
 /// A two-gate implementation for the knowledge-acquisition request.
@@ -460,40 +490,95 @@ fn args_for(command: &str) -> Vec<CqlArg> {
         .collect()
 }
 
-/// Every CQL row of the command table, sent over the wire once: each
-/// answer equals the embedded `Icdb::execute` answer to the same
-/// sequence, and each request bills to its own
-/// `icdb_requests_total{command=…}` label.
+/// Every CQL row of the command table, sent over the wire to a durable
+/// `icdbd` once: each answer equals the embedded `Icdb::execute` answer to
+/// the same sequence on a durable server, each row appends as many WAL
+/// events on both, and each request bills to its own
+/// `icdb_requests_total{command=…}` label. A failing sweep then fails
+/// alike and moves the corpus and cache counters alike.
 #[test]
 fn every_cql_command_matches_the_embedded_api_and_bills_its_own_label() {
-    let (_daemon, port) = spawn_icdbd();
+    let dirs = ["served", "embedded"].map(|side| {
+        let dir = std::env::temp_dir().join(format!("icdbd-parity-{side}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    });
+    let (daemon, port, metrics) = spawn_icdbd(&dirs[0]);
     let mut client = IcdbClient::connect(("127.0.0.1", port)).unwrap();
-    let mut solo = Icdb::new();
-    let cql_rows: Vec<&str> = COMMANDS
-        .iter()
-        .filter(|c| c.tier != Tier::Wire)
-        .map(|c| c.name)
-        .collect();
+    let mut solo = Icdb::open_with_sync(&dirs[1], false).unwrap();
+    let events = |solo: &Icdb| {
+        let served = scrape(metrics, &["icdb_wal_events"])[0];
+        (served, solo.persist_stats().unwrap().wal_events)
+    };
+    let cql_rows: Vec<_> = COMMANDS.iter().filter(|c| c.tier != Tier::Wire).collect();
     assert_eq!(SCRIPT.len(), cql_rows.len(), "one request per CQL row");
-    for (command, row) in SCRIPT.into_iter().zip(&cql_rows) {
+    for (command, spec) in SCRIPT.into_iter().zip(&cql_rows) {
+        let row = spec.name;
         assert!(command.starts_with(&format!("command:{row};")), "{command}");
         let mut wire_args = args_for(command);
         let mut solo_args = wire_args.clone();
+        let before = events(&solo);
         client
             .execute(command, &mut wire_args)
             .unwrap_or_else(|e| panic!("`{row}` over the wire: {e}"));
         solo.execute(command, &mut solo_args)
             .unwrap_or_else(|e| panic!("`{row}` embedded: {e}"));
         assert_eq!(wire_args, solo_args, "`{row}` answers differ");
+        let after = events(&solo);
+        let appended = (after.0 - before.0, after.1 - before.1);
+        assert_eq!(
+            appended.0, appended.1,
+            "`{row}` appends {appended:?} events"
+        );
+        if spec.read_only() {
+            // Only the sweep's corpus rows and the generated layout.
+            let expected = u64::from(matches!(row, "explore" | "instance_query"));
+            assert_eq!(appended.0, expected, "read-only `{row}` appends");
+        }
     }
 
     let text = client.metrics_text().unwrap();
-    for row in cql_rows {
-        let sample = format!("icdb_requests_total{{command=\"{row}\"}} 1");
+    for spec in cql_rows {
+        let sample = format!("icdb_requests_total{{command=\"{}\"}} 1", spec.name);
         assert!(
             text.lines().any(|line| line == sample),
-            "`{row}` must bill exactly one request to its own label"
+            "`{}` must bill exactly one request to its own label",
+            spec.name
         );
     }
+
+    // A sweep whose first grid point fails runs once on either side.
+    let sweep = "command:explore; implementation:(COUNTER,ADDER); widths:(0,4); enable:0; \
+                 winner:?s";
+    let names = [
+        "icdb_corpus_misses_total",
+        "icdb_cache_hits_total",
+        "icdb_cache_misses_total",
+    ];
+    let counts = |solo: &Icdb| {
+        let cache = solo.cache_stats();
+        let served = scrape(metrics, &names);
+        let solo = [solo.corpus_stats().misses, cache.hits(), cache.misses()];
+        (served, solo.to_vec())
+    };
+    let before = counts(&solo);
+    let wire = client.execute(sweep, &mut [CqlArg::OutStr(None)]);
+    let embedded = solo.execute(sweep, &mut [CqlArg::OutStr(None)]);
+    let Err(IcdbError::Cql(wire)) = wire else {
+        panic!("the sweep must fail over the wire: {wire:?}");
+    };
+    assert_eq!(wire, embedded.unwrap_err().to_string());
+    let after = counts(&solo);
+    let delta = |(a, b): (&Vec<u64>, &Vec<u64>)| -> Vec<u64> {
+        a.iter().zip(b).map(|(a, b)| a - b).collect()
+    };
+    let served = delta((&after.0, &before.0));
+    assert_eq!(served, delta((&after.1, &before.1)), "{names:?}");
+    assert!(served[0] > 0, "the sweep looked its points up: {served:?}");
+
     client.quit().unwrap();
+    drop((daemon, solo));
+    for dir in dirs {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
