@@ -3,22 +3,29 @@
 //! * `sweep` — a warm design-space sweep (every grid point already in the
 //!   generation cache) must be ≥10× faster than a cold one: exploration
 //!   amortizes through the same cache that serves plain component requests;
-//! * `sizing` — the cost of a cold point is mostly TILOS sizing, which
-//!   re-times one gate per trial move on a `TimingGraph`. Its speedup is
-//!   the reference loop's time (a full STA per trial,
-//!   `icdb_bench::reference`) over `size_netlist`'s, both measured in this
-//!   run on `fastest` `ALU size=4` and `CSEL_ADDER size=4`.
+//! * `sizing` — TILOS sizing re-times one gate per trial move on a
+//!   `TimingGraph`. Its speedup is the reference loop's time (a full STA
+//!   per trial, `icdb_bench::reference`) over `size_netlist`'s, both
+//!   measured in this run on `fastest` `ALU size=4` and `CSEL_ADDER
+//!   size=4`;
+//! * `synthesis` — the rest of a cold point is mostly logic synthesis,
+//!   whose minimizer and factoring work on inline bitset cubes and
+//!   products. Its speedup is the reference minimizer and factoring's time
+//!   (`icdb_bench::reference`) over the shipped ones', both measured in
+//!   this run on every cover that `optimize` minimizes or leaves for
+//!   factoring for `ALU`, `PARITY` and `CSEL_ADDER` at widths 4–8.
 //!
 //! Besides the criterion groups, `main` runs an explicit measurement pass
 //! and writes `BENCH_explore_sweep.json` next to this crate's manifest;
-//! `perfgate` enforces both speedup floors committed in
+//! `perfgate` enforces the three speedup floors committed in
 //! `BENCH_baseline.json`.
 
 use criterion::{black_box, Criterion};
 use icdb::estimate::LoadSpec;
-use icdb::logic::GateNetlist;
+use icdb::logic::{cover_to_sop, minimize, quick_factor, Cover, GateNetlist};
 use icdb::sizing::{SizingResult, Strategy};
 use icdb::{cells::Library, ExploreSpec, Icdb};
+use icdb_bench::reference;
 use std::time::{Duration, Instant};
 
 /// A sizing loop under measurement.
@@ -108,6 +115,83 @@ fn measure_sizing() -> String {
     )
 }
 
+/// Time to minimize every cover of `minimized` and factor every cover of
+/// `factored` with the shipped code.
+fn time_synthesis(minimized: &[Cover], factored: &[Cover]) -> Duration {
+    let t = Instant::now();
+    for c in minimized {
+        black_box(minimize(c.clone()));
+    }
+    for c in factored {
+        black_box(quick_factor(&cover_to_sop(c)));
+    }
+    t.elapsed()
+}
+
+/// The same work with the reference minimizer and factoring.
+fn time_reference_synthesis(
+    minimized: &[reference::Cover],
+    factored: &[reference::Cover],
+) -> Duration {
+    let t = Instant::now();
+    for c in minimized {
+        black_box(reference::minimize(c.clone()));
+    }
+    for c in factored {
+        black_box(reference::quick_factor(&reference::cover_to_sop(c)));
+    }
+    t.elapsed()
+}
+
+/// The `synthesis` row: reference minimizer and factoring vs the shipped
+/// ones, in three interleaved rounds as `sizing` is measured; the row
+/// reports the median round.
+fn measure_synthesis() -> String {
+    let icdb = Icdb::new();
+    let (mut minimized, mut factored) = (Vec::new(), Vec::new());
+    for imp in ["ALU", "PARITY", "CSEL_ADDER"] {
+        for width in 4..=8 {
+            let flat = icdb_bench::builtin_flat(&icdb, imp, width).expect("builtin expands");
+            let (m, f) = icdb_bench::synthesis_covers(&flat);
+            minimized.extend(m);
+            factored.extend(f);
+        }
+    }
+    let old_minimized: Vec<reference::Cover> =
+        minimized.iter().map(reference::from_cover).collect();
+    let old_factored: Vec<reference::Cover> = factored.iter().map(reference::from_cover).collect();
+    let ratio = |(reference, shipped): &(Duration, Duration)| {
+        reference.as_nanos() as f64 / shipped.as_nanos().max(1) as f64
+    };
+    let mut rounds: Vec<(Duration, Duration)> = (0..3)
+        .map(|_| {
+            let reference = time_reference_synthesis(&old_minimized, &old_factored);
+            let shipped = median(
+                (0..5)
+                    .map(|_| time_synthesis(&minimized, &factored))
+                    .collect(),
+            );
+            (reference, shipped)
+        })
+        .collect();
+    rounds.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+    let (reference, shipped) = rounds[1];
+    let speedup = ratio(&rounds[1]);
+    println!(
+        "explore_sweep: minimize {} + factor {} covers of ALU/PARITY/CSEL_ADDER size=4..8: \
+         reference {reference:?} bitsets {shipped:?} speedup {speedup:.1}x",
+        minimized.len(),
+        factored.len()
+    );
+    format!(
+        "{{\"subject\": \"synthesis\", \"covers\": {}, \"reference_ns\": {}, \
+         \"bitset_ns\": {}, \"speedup\": {speedup:.1}}}",
+        minimized.len() + factored.len(),
+        reference.as_nanos(),
+        shipped.as_nanos()
+    )
+}
+
 /// Explicit measurement pass feeding the JSON artifact and the speedup
 /// verdicts printed at the end of the run.
 fn measure_summary() -> String {
@@ -144,12 +228,13 @@ fn measure_summary() -> String {
     format!(
         "{{\n  \"bench\": \"explore_sweep\",\n  \"sweep\": [\n    \
          {{\"subject\": \"sweep\", \"points\": {}, \"front\": {}, \"cold_ns\": {}, \
-         \"warm_ns\": {}, \"speedup\": {speedup:.1}}},\n    {}\n  ]\n}}\n",
+         \"warm_ns\": {}, \"speedup\": {speedup:.1}}},\n    {},\n    {}\n  ]\n}}\n",
         report.points.len(),
         report.front.len(),
         cold.as_nanos(),
         warm.as_nanos(),
-        measure_sizing()
+        measure_sizing(),
+        measure_synthesis()
     )
 }
 

@@ -10,8 +10,9 @@ pub mod perfgate;
 pub mod reference;
 
 use icdb::estimate::{LoadSpec, ShapeFunction};
+use icdb::iif::FlatModule;
 use icdb::layout::{best_by_aspect, Floorplan, SlicingTree};
-use icdb::logic::{synthesize, GateNetlist, SynthOptions};
+use icdb::logic::{minimize, synthesize, Cover, GateNetlist, Network, SynthOptions};
 use icdb::sizing::Strategy;
 use icdb::{ComponentRequest, Icdb};
 
@@ -70,11 +71,11 @@ pub fn generate_counter_variant(icdb: &mut Icdb, attrs: &[(&str, &str)]) -> Stri
         .expect("counter variant generates")
 }
 
-/// The unsized netlist of builtin `implementation` with its `size`
-/// attribute set to `width`, as the generation pipeline maps it; `None`
-/// when the implementation rejects that width. An implementation without
-/// a `size` parameter maps at its defaults, as `explore` evaluates it.
-pub fn builtin_netlist(icdb: &Icdb, implementation: &str, width: i64) -> Option<GateNetlist> {
+/// The expanded IIF of builtin `implementation` with its `size` attribute
+/// set to `width`; `None` when the implementation rejects that width. An
+/// implementation without a `size` parameter expands at its defaults, as
+/// `explore` evaluates it.
+pub fn builtin_flat(icdb: &Icdb, implementation: &str, width: i64) -> Option<FlatModule> {
     let imp = icdb.library.implementation(implementation)?;
     let attrs: Vec<(String, String)> = if imp.params.iter().any(|p| p.name == "size") {
         vec![("size".to_string(), width.to_string())]
@@ -83,8 +84,39 @@ pub fn builtin_netlist(icdb: &Icdb, implementation: &str, width: i64) -> Option<
     };
     let params = imp.bind_attributes(&attrs).ok()?;
     let pairs: Vec<(&str, i64)> = params.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let flat = icdb::iif::expand(&imp.module, &pairs, &icdb.library).ok()?;
+    icdb::iif::expand(&imp.module, &pairs, &icdb.library).ok()
+}
+
+/// The unsized netlist of builtin `implementation` at `width` (see
+/// [`builtin_flat`]), as the generation pipeline maps it.
+pub fn builtin_netlist(icdb: &Icdb, implementation: &str, width: i64) -> Option<GateNetlist> {
+    let flat = builtin_flat(icdb, implementation, width)?;
     synthesize(&flat, &icdb.cells, &SynthOptions::default()).ok()
+}
+
+/// The node covers that [`icdb::logic::optimize`] (default options)
+/// minimizes for `flat`, both passes in order, and the covers it leaves,
+/// which the subject-graph build factors.
+///
+/// # Panics
+/// Panics if `flat` does not lower to a network.
+pub fn synthesis_covers(flat: &FlatModule) -> (Vec<Cover>, Vec<Cover>) {
+    let options = SynthOptions::default();
+    let mut network = Network::from_flat(flat).expect("flat module lowers");
+    network.sweep();
+    let mut minimized = Vec::new();
+    let mut minimize_all = |network: &mut Network| {
+        for node in &mut network.nodes {
+            minimized.push(node.cover.clone());
+            node.cover = minimize(node.cover.clone());
+        }
+        network.sweep();
+    };
+    minimize_all(&mut network);
+    network.eliminate(options.eliminate_max_support, options.eliminate_max_cubes);
+    minimize_all(&mut network);
+    let factored = network.nodes.iter().map(|n| n.cover.clone()).collect();
+    (minimized, factored)
 }
 
 /// E1 / Fig. 5: the area/time trade-off of the five counter variants.

@@ -35,8 +35,8 @@ pub const BASELINE_HEADROOM: f64 = 0.8;
 
 /// The gated metrics: `(bench, subject, metric)`. All are
 /// higher-is-better (cold÷warm speedups, the reference÷timing-graph sizing
-/// speedup, throughputs, or the corpus points-evaluated `reduction`
-/// percentage). `subject` is matched against a
+/// and reference÷bitset synthesis speedups, throughputs, or the corpus
+/// points-evaluated `reduction` percentage). `subject` is matched against a
 /// `"component"`/`"subject"` field, or parsed as `key=value` and matched
 /// against a numeric field of that name (e.g. `sessions=8`).
 pub const GATE_SPECS: &[(&str, &str, &str)] = &[
@@ -48,6 +48,7 @@ pub const GATE_SPECS: &[(&str, &str, &str)] = &[
     ("service_concurrency", "sessions=64", "speedup"),
     ("explore_sweep", "sweep", "speedup"),
     ("explore_sweep", "sizing", "speedup"),
+    ("explore_sweep", "synthesis", "speedup"),
     ("sweep_pruned", "pruned", "reduction"),
     ("wal_replay", "replay", "events_per_sec"),
     ("wal_replay", "snapshot", "speedup"),

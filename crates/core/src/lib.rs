@@ -294,16 +294,25 @@ impl Icdb {
         let Some(space) = self.spaces.remove(ns) else {
             return 0;
         };
-        let names = space.instance_order.clone();
+        let names = &space.instance_order;
         // The namespace is already detached; clean its design data out of
-        // the shared stores directly.
-        for name in &names {
+        // the shared stores directly, its catalog rows in one pass by exact
+        // name (a root instance may itself be named `s<N>:…`).
+        for name in names {
             for suffix in crate::server::INSTANCE_VIEW_SUFFIXES {
                 self.files
                     .remove(&space::Namespace::file_path(ns, name, suffix));
             }
-            self.delete_catalog_row(ns, name);
         }
+        let rows: std::collections::HashSet<String> = names
+            .iter()
+            .map(|name| space::Namespace::db_name(ns, name))
+            .collect();
+        let _ = self.db.delete_rows(
+            "instances",
+            "name",
+            |v| matches!(v, Value::Text(name) if rows.contains(name)),
+        );
         names.len()
     }
 
@@ -394,6 +403,37 @@ impl Default for Icdb {
 mod tests {
     use super::*;
     use icdb_cql::CqlArg;
+
+    #[test]
+    fn dropping_a_namespace_deletes_exactly_its_catalog_rows() {
+        let mut icdb = Icdb::new();
+        let named = |name: &str| {
+            let mut request = ComponentRequest::by_implementation("ADDER").attribute("size", "2");
+            request.instance_name = Some(name.into());
+            request
+        };
+        let (a, b) = (icdb.create_namespace(), icdb.create_namespace());
+        for name in ["x", "y"] {
+            icdb.request_component_in(a, &named(name)).unwrap();
+            icdb.request_component_in(b, &named(name)).unwrap();
+        }
+        // A root instance whose name carries `a`'s row prefix stays.
+        let lookalike = format!("s{}:z", a.raw());
+        icdb.request_component(&named(&lookalike)).unwrap();
+        icdb.request_component(&named("r")).unwrap();
+        assert_eq!(icdb.drop_namespace(a), 2);
+        let rows = icdb.db.query("SELECT name FROM instances").unwrap();
+        let mut rows: Vec<&str> = rows.iter().map(|r| r[0].as_text().unwrap()).collect();
+        rows.sort_unstable();
+        let mut want = vec![
+            lookalike.clone(),
+            "r".to_string(),
+            format!("s{}:x", b.raw()),
+            format!("s{}:y", b.raw()),
+        ];
+        want.sort_unstable();
+        assert_eq!(rows, want);
+    }
 
     #[test]
     fn new_server_has_catalog_rows() {

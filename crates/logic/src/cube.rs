@@ -1,19 +1,110 @@
 //! Cube and cover (sum-of-products) algebra in the positional-cube notation
 //! used by espresso-family two-level minimizers.
 //!
-//! Each variable occupies two bits of a machine word:
+//! Each variable occupies two bits of a 64-bit word, 32 variables per word:
 //! `01` = the cube requires the variable to be **0** (negative literal),
 //! `10` = requires **1** (positive literal), `11` = don't-care (variable
-//! absent from the product), `00` = contradiction (empty cube).
+//! absent from the product), `00` = contradiction (empty cube). Slots past
+//! the last variable stay `00`. The words live inline in the cube up to
+//! [`INLINE_WORDS`] words and spill to one heap block beyond, so cloning,
+//! intersecting and cofactoring a cube allocate nothing for covers of up
+//! to 64 variables; emptiness, literal counts, support and distance are
+//! computed a word at a time.
 
 use std::fmt;
 
 const VARS_PER_WORD: usize = 32;
 
+/// Words stored inline: two hold a cube over 64 variables or a product
+/// over 128 literals, far above any cover the builtin library minimizes.
+pub(crate) const INLINE_WORDS: usize = 2;
+
+/// The low bit of every two-bit slot.
+pub(crate) const LOW: u64 = 0x5555_5555_5555_5555;
+
+/// Fixed-length word storage for cubes and literal sets: inline up to
+/// [`INLINE_WORDS`] words, one heap block beyond. Unused inline words stay
+/// zero, so the derived equality and hash are canonical.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Words {
+    Inline(u8, [u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
+}
+
+impl Words {
+    /// `len` zero words.
+    pub(crate) fn zeroed(len: usize) -> Words {
+        if len <= INLINE_WORDS {
+            Words::Inline(len as u8, [0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; len].into_boxed_slice())
+        }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[u64] {
+        match self {
+            Words::Inline(len, w) => &w[..*len as usize],
+            Words::Heap(w) => w,
+        }
+    }
+
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline(len, w) => &mut w[..*len as usize],
+            Words::Heap(w) => w,
+        }
+    }
+
+    /// `op` applied word by word to two equally long word strings.
+    pub(crate) fn zip(&self, other: &Words, op: impl Fn(u64, u64) -> u64) -> Words {
+        let mut out = self.clone();
+        for (a, &b) in out.as_mut_slice().iter_mut().zip(other.as_slice()) {
+            *a = op(*a, b);
+        }
+        out
+    }
+}
+
+/// Words needed for `n` variables (at least one).
+pub(crate) fn word_count(n: usize) -> usize {
+    n.div_ceil(VARS_PER_WORD).max(1)
+}
+
+/// Positions of the set bits of `m`, lowest first.
+pub(crate) fn bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let b = m.trailing_zeros() as usize;
+            m &= m - 1;
+            b
+        })
+    })
+}
+
+/// Both bits of every slot that word `i` uses for `n` variables.
+fn used_slots(n: usize, i: usize) -> u64 {
+    let used = n.saturating_sub(i * VARS_PER_WORD).min(VARS_PER_WORD);
+    if used == VARS_PER_WORD {
+        !0
+    } else {
+        (1u64 << (2 * used)) - 1
+    }
+}
+
+/// The low bit of every slot holding a literal (`01` or `10`).
+fn literal_bits(w: u64) -> u64 {
+    (w ^ (w >> 1)) & LOW
+}
+
+/// The low bit of every slot holding `00`.
+fn empty_bits(w: u64) -> u64 {
+    !(w | (w >> 1)) & LOW
+}
+
 /// A product term over `n` boolean variables.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Cube {
-    words: Vec<u64>,
+    words: Words,
     n: usize,
 }
 
@@ -33,15 +124,9 @@ pub enum Polarity {
 impl Cube {
     /// The universal cube (all don't-cares) over `n` variables.
     pub fn universe(n: usize) -> Cube {
-        let nwords = n.div_ceil(VARS_PER_WORD).max(1);
-        let mut words = vec![!0u64; nwords];
-        // Clear the unused tail so Eq/Hash are canonical.
-        let used = n % VARS_PER_WORD;
-        if used != 0 {
-            words[nwords - 1] = (1u64 << (2 * used)) - 1;
-        }
-        if n == 0 {
-            words[0] = 0;
+        let mut words = Words::zeroed(word_count(n));
+        for (i, w) in words.as_mut_slice().iter_mut().enumerate() {
+            *w = used_slots(n, i);
         }
         Cube { words, n }
     }
@@ -51,13 +136,18 @@ impl Cube {
         self.n
     }
 
+    /// The positional-cube words, 32 variables each.
+    pub(crate) fn words(&self) -> &[u64] {
+        self.words.as_slice()
+    }
+
     /// Polarity of variable `v`.
     ///
     /// # Panics
     /// Panics if `v >= num_vars()`.
     pub fn get(&self, v: usize) -> Polarity {
         assert!(v < self.n);
-        let bits = (self.words[v / VARS_PER_WORD] >> (2 * (v % VARS_PER_WORD))) & 0b11;
+        let bits = (self.words()[v / VARS_PER_WORD] >> (2 * (v % VARS_PER_WORD))) & 0b11;
         match bits {
             0b01 => Polarity::Neg,
             0b10 => Polarity::Pos,
@@ -78,9 +168,9 @@ impl Cube {
             Polarity::DontCare => 0b11,
             Polarity::Empty => 0b00,
         };
-        let w = v / VARS_PER_WORD;
+        let w = &mut self.words.as_mut_slice()[v / VARS_PER_WORD];
         let s = 2 * (v % VARS_PER_WORD);
-        self.words[w] = (self.words[w] & !(0b11 << s)) | (bits << s);
+        *w = (*w & !(0b11 << s)) | (bits << s);
     }
 
     /// Builds a cube from `(variable, positive)` literal pairs.
@@ -94,77 +184,71 @@ impl Cube {
 
     /// True if any variable has the empty (`00`) code.
     pub fn is_empty(&self) -> bool {
-        // A variable slot is empty iff both bits are zero.
-        for (w, &word) in self.words.iter().enumerate() {
-            let vars_here = if (w + 1) * VARS_PER_WORD <= self.n {
-                VARS_PER_WORD
-            } else {
-                self.n - w * VARS_PER_WORD
-            };
-            for v in 0..vars_here {
-                if (word >> (2 * v)) & 0b11 == 0 {
-                    return true;
-                }
-            }
-        }
-        false
+        self.words()
+            .iter()
+            .enumerate()
+            .any(|(i, &w)| empty_bits(w) & used_slots(self.n, i) != 0)
     }
 
     /// True if every variable is a don't-care (the tautology cube).
     pub fn is_universe(&self) -> bool {
-        *self == Cube::universe(self.n)
+        self.words()
+            .iter()
+            .enumerate()
+            .all(|(i, &w)| w == used_slots(self.n, i))
     }
 
     /// Number of literals (non-don't-care variables).
     pub fn literal_count(&self) -> usize {
-        (0..self.n)
-            .filter(|&v| matches!(self.get(v), Polarity::Pos | Polarity::Neg))
-            .count()
+        self.words()
+            .iter()
+            .map(|&w| literal_bits(w).count_ones() as usize)
+            .sum()
     }
 
     /// Bitwise AND of cubes: their intersection as sets of minterms.
     /// Returns `None` when the intersection is empty.
     pub fn intersect(&self, other: &Cube) -> Option<Cube> {
         debug_assert_eq!(self.n, other.n);
-        let words = self
-            .words
+        let c = Cube {
+            words: self.words.zip(&other.words, |a, b| a & b),
+            n: self.n,
+        };
+        (!c.is_empty()).then_some(c)
+    }
+
+    /// True if the cubes share a minterm: [`Cube::intersect`] without
+    /// building the intersection.
+    pub(crate) fn intersects(&self, other: &Cube) -> bool {
+        debug_assert_eq!(self.n, other.n);
+        !self
+            .words()
             .iter()
-            .zip(&other.words)
-            .map(|(a, b)| a & b)
-            .collect();
-        let c = Cube { words, n: self.n };
-        if c.is_empty() {
-            None
-        } else {
-            Some(c)
-        }
+            .zip(other.words())
+            .enumerate()
+            .any(|(i, (&a, &b))| empty_bits(a & b) & used_slots(self.n, i) != 0)
     }
 
     /// True if `self` contains `other` (every minterm of `other` is in
     /// `self`): bitwise, `other ⊆ self` iff `other & self == other`.
     pub fn contains(&self, other: &Cube) -> bool {
         debug_assert_eq!(self.n, other.n);
-        self.words
+        self.words()
             .iter()
-            .zip(&other.words)
+            .zip(other.words())
             .all(|(a, b)| a & b == *b)
     }
 
     /// Number of variables where the two cubes have disjoint codes
     /// (the espresso *distance*; distance 0 means they intersect).
     pub fn distance(&self, other: &Cube) -> usize {
-        let mut d = 0;
-        for v in 0..self.n {
-            let a = self.get(v);
-            let b = other.get(v);
-            if matches!(
-                (a, b),
-                (Polarity::Pos, Polarity::Neg) | (Polarity::Neg, Polarity::Pos)
-            ) {
-                d += 1;
-            }
-        }
-        d
+        self.words()
+            .iter()
+            .zip(other.words())
+            .map(|(&a, &b)| {
+                (literal_bits(a) & literal_bits(b) & empty_bits(a & b)).count_ones() as usize
+            })
+            .sum()
     }
 
     /// Cofactor of this cube with respect to `literal` of variable `v`.
@@ -183,13 +267,10 @@ impl Cube {
     /// Smallest cube containing both (bitwise OR).
     pub fn supercube(&self, other: &Cube) -> Cube {
         debug_assert_eq!(self.n, other.n);
-        let words = self
-            .words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| a | b)
-            .collect();
-        Cube { words, n: self.n }
+        Cube {
+            words: self.words.zip(&other.words, |a, b| a | b),
+            n: self.n,
+        }
     }
 
     /// Evaluates the cube on an assignment (true = product of literals holds).
@@ -205,8 +286,10 @@ impl Cube {
 
     /// The variables with a literal in this cube.
     pub fn support(&self) -> Vec<usize> {
-        (0..self.n)
-            .filter(|&v| matches!(self.get(v), Polarity::Pos | Polarity::Neg))
+        self.words()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| bits(literal_bits(w)).map(move |b| i * VARS_PER_WORD + b / 2))
             .collect()
     }
 }
@@ -339,20 +422,22 @@ impl Cover {
         self.cofactor(v, true).is_tautology() && self.cofactor(v, false).is_tautology()
     }
 
-    /// The variable appearing in the most cubes with both polarities;
-    /// `None` if the cover is unate.
+    /// The variable appearing in the most cubes with both polarities (the
+    /// lowest on a tie); `None` if the cover is unate.
     fn most_binate_var(&self) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None;
-        for v in 0..self.n {
-            let mut pos = 0usize;
-            let mut neg = 0usize;
-            for c in &self.cubes {
-                match c.get(v) {
-                    Polarity::Pos => pos += 1,
-                    Polarity::Neg => neg += 1,
-                    _ => {}
+        let mut counts = vec![(0usize, 0usize); self.n];
+        for c in &self.cubes {
+            for (i, &w) in c.words().iter().enumerate() {
+                for b in bits((w >> 1) & !w & LOW) {
+                    counts[i * VARS_PER_WORD + b / 2].0 += 1;
+                }
+                for b in bits(w & !(w >> 1) & LOW) {
+                    counts[i * VARS_PER_WORD + b / 2].1 += 1;
                 }
             }
+        }
+        let mut best: Option<(usize, usize)> = None;
+        for (v, &(pos, neg)) in counts.iter().enumerate() {
             if pos > 0 && neg > 0 {
                 let score = pos + neg;
                 if best.is_none_or(|(_, s)| score > s) {
@@ -377,13 +462,7 @@ impl Cover {
         // Split on the most binate (or first used) variable.
         let v = self
             .most_binate_var()
-            .or_else(|| {
-                (0..self.n).find(|&v| {
-                    self.cubes
-                        .iter()
-                        .any(|c| matches!(c.get(v), Polarity::Pos | Polarity::Neg))
-                })
-            })
+            .or_else(|| self.support().first().copied())
             .expect("non-trivial cover must use a variable");
         let pos = self.cofactor(v, true).complement();
         let neg = self.cofactor(v, false).complement();
@@ -404,35 +483,52 @@ impl Cover {
     /// True if `cube` is covered by this cover (cover ⊇ cube): the cofactor
     /// of the cover with respect to the cube is a tautology.
     pub fn covers_cube(&self, cube: &Cube) -> bool {
-        let mut cof = self.clone();
-        let mut cubes = Vec::new();
-        'next: for c in &cof.cubes {
-            let mut r = c.clone();
-            for v in 0..self.n {
-                match (cube.get(v), c.get(v)) {
-                    (Polarity::Pos, Polarity::Neg) | (Polarity::Neg, Polarity::Pos) => {
-                        continue 'next;
-                    }
-                    (Polarity::Pos | Polarity::Neg, _) => r.set(v, Polarity::DontCare),
-                    _ => {}
-                }
-            }
-            cubes.push(r);
-        }
-        cof.cubes = cubes;
-        cof.is_tautology()
+        cube_cofactor(self.n, self.cubes.iter(), cube).is_tautology()
+    }
+
+    /// True if the cubes other than `i` cover cube `i`: the IRREDUNDANT
+    /// test, without building the rest of the cover.
+    pub(crate) fn others_cover(&self, i: usize) -> bool {
+        let others = self
+            .cubes
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .map(|(_, c)| c);
+        cube_cofactor(self.n, others, &self.cubes[i]).is_tautology()
     }
 
     /// Union of the variables used by any cube.
     pub fn support(&self) -> Vec<usize> {
-        let mut used = vec![false; self.n];
+        let mut used = Words::zeroed(word_count(self.n));
         for c in &self.cubes {
-            for v in c.support() {
-                used[v] = true;
-            }
+            used = used.zip(&c.words, |u, w| u | literal_bits(w));
         }
-        (0..self.n).filter(|&v| used[v]).collect()
+        used.as_slice()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| bits(w).map(move |b| i * VARS_PER_WORD + b / 2))
+            .collect()
     }
+}
+
+/// The cofactor of `cubes` with respect to `cube`: cubes at a non-zero
+/// distance from it drop out, and its literal variables become
+/// don't-cares in the rest.
+fn cube_cofactor<'a>(n: usize, cubes: impl Iterator<Item = &'a Cube>, cube: &Cube) -> Cover {
+    let mut raise = cube.words.clone();
+    for w in raise.as_mut_slice() {
+        let lits = literal_bits(*w);
+        *w = lits | (lits << 1);
+    }
+    let cubes = cubes
+        .filter(|c| c.distance(cube) == 0)
+        .map(|c| Cube {
+            words: c.words.zip(&raise, |a, r| a | r),
+            n,
+        })
+        .collect();
+    Cover { cubes, n }
 }
 
 impl fmt::Debug for Cover {
@@ -453,18 +549,11 @@ impl fmt::Debug for Cover {
 /// De Morgan complement of a single cube: one cube per literal.
 fn complement_cube(c: &Cube) -> Cover {
     let n = c.num_vars();
-    let mut cubes = Vec::new();
-    for v in 0..n {
-        match c.get(v) {
-            Polarity::Pos => {
-                cubes.push(Cube::from_literals(n, &[(v, false)]));
-            }
-            Polarity::Neg => {
-                cubes.push(Cube::from_literals(n, &[(v, true)]));
-            }
-            _ => {}
-        }
-    }
+    let cubes = c
+        .support()
+        .into_iter()
+        .map(|v| Cube::from_literals(n, &[(v, c.get(v) == Polarity::Neg)]))
+        .collect();
     Cover { cubes, n }
 }
 

@@ -2,14 +2,18 @@
 //! second phase of the MILO flow (paper §4.3.1 — "reduce the number of
 //! levels along the longest paths by performing factoring").
 //!
-//! Functions here operate on *algebraic* sum-of-products: a product is a
-//! sorted set of literal ids (`2·var + negated`), and a SOP is a set of
-//! products.  Factoring never changes the boolean function (verified by
-//! evaluation in the tests), it only restructures it into a tree with fewer
-//! literals, which the decomposition step then turns into a subject graph.
+//! Functions here operate on *algebraic* sum-of-products: a [`Product`] is
+//! a set of literal ids (`2·var + negated`) stored as a bitmask, one bit
+//! per literal, so subset, difference and union are word operations; a
+//! SOP is a list of products. Factoring never changes the boolean function
+//! (verified by evaluation in the tests), it only restructures it into a
+//! tree with fewer literals, which the decomposition step then turns into
+//! a subject graph.
 
-use crate::cube::{Cover, Polarity};
-use std::collections::BTreeSet;
+use crate::cube::{bits, word_count, Cover, Words, LOW};
+use std::cmp::Ordering;
+use std::collections::HashSet;
+use std::fmt;
 
 /// A literal id: `2·var` for the positive literal, `2·var + 1` for the
 /// complemented literal.
@@ -30,27 +34,156 @@ pub fn mk_lit(var: usize, neg: bool) -> Lit {
     (var as u32) * 2 + u32::from(neg)
 }
 
-/// A product term: a sorted, duplicate-free set of literals.
-pub type Product = Vec<Lit>;
+/// A product term: a set of literals, bit `l` set for literal `l`.
+///
+/// The products of one [`Sop`] have the same word count, fixed by the
+/// variable count they were built for. Products are ordered as their
+/// ascending literal lists are, lexicographically.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Product(Words);
+
+impl Product {
+    /// The product of `lits` over `num_vars` variables.
+    ///
+    /// # Panics
+    /// Panics if a literal's variable is not below `num_vars`.
+    pub fn from_lits(num_vars: usize, lits: &[Lit]) -> Product {
+        let mut words = Words::zeroed(word_count(num_vars));
+        for &l in lits {
+            assert!(
+                lit_var(l) < num_vars,
+                "literal {l} outside {num_vars} variables"
+            );
+            words.as_mut_slice()[l as usize / 64] |= 1 << (l % 64);
+        }
+        Product(words)
+    }
+
+    /// The literals, ascending.
+    pub fn lits(&self) -> impl Iterator<Item = Lit> + '_ {
+        self.0
+            .as_slice()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| bits(w).map(move |b| (i * 64 + b) as Lit))
+    }
+
+    /// Number of literals.
+    pub fn len(&self) -> usize {
+        self.0
+            .as_slice()
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// True for the product of no literals (the constant 1).
+    pub fn is_empty(&self) -> bool {
+        self.0.as_slice().iter().all(|&w| w == 0)
+    }
+
+    fn contains_lit(&self, l: usize) -> bool {
+        self.0.as_slice()[l / 64] & (1 << (l % 64)) != 0
+    }
+
+    /// `self ⊆ other`.
+    fn is_subset(&self, other: &Product) -> bool {
+        self.0
+            .as_slice()
+            .iter()
+            .zip(other.0.as_slice())
+            .all(|(a, b)| a & !b == 0)
+    }
+
+    fn is_disjoint(&self, other: &Product) -> bool {
+        self.0
+            .as_slice()
+            .iter()
+            .zip(other.0.as_slice())
+            .all(|(a, b)| a & b == 0)
+    }
+
+    fn and(&self, other: &Product) -> Product {
+        Product(self.0.zip(&other.0, |a, b| a & b))
+    }
+
+    fn or(&self, other: &Product) -> Product {
+        Product(self.0.zip(&other.0, |a, b| a | b))
+    }
+
+    fn minus(&self, other: &Product) -> Product {
+        Product(self.0.zip(&other.0, |a, b| a & !b))
+    }
+
+    /// The product of literal `l` alone, with `self`'s word count.
+    fn lit_like(&self, l: usize) -> Product {
+        let mut words = Words::zeroed(self.0.as_slice().len());
+        words.as_mut_slice()[l / 64] = 1 << (l % 64);
+        Product(words)
+    }
+}
+
+impl Ord for Product {
+    /// Lexicographic on the ascending literal lists. Below the lowest
+    /// literal that only one of the two holds, the lists agree; the one
+    /// holding it is smaller unless the other list ends there, being a
+    /// prefix of it.
+    fn cmp(&self, other: &Product) -> Ordering {
+        let (a, b) = (self.0.as_slice(), other.0.as_slice());
+        debug_assert_eq!(a.len(), b.len());
+        for i in 0..a.len() {
+            let diff = a[i] ^ b[i];
+            if diff == 0 {
+                continue;
+            }
+            let low = diff & diff.wrapping_neg();
+            let (holder_is_self, rest) = if a[i] & low != 0 {
+                (true, b)
+            } else {
+                (false, a)
+            };
+            let rest_goes_on =
+                rest[i] & !(low | (low - 1)) != 0 || rest[i + 1..].iter().any(|&w| w != 0);
+            return if holder_is_self == rest_goes_on {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
+        }
+        Ordering::Equal
+    }
+}
+
+impl PartialOrd for Product {
+    fn partial_cmp(&self, other: &Product) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for Product {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.lits()).finish()
+    }
+}
 
 /// An algebraic sum of products.
 pub type Sop = Vec<Product>;
 
-/// Converts a [`Cover`] into an algebraic SOP.
+/// Converts a [`Cover`] into an algebraic SOP: a variable's positive slot
+/// code `10` becomes literal bit `2·var`, its negative code `01` bit
+/// `2·var + 1`, so cube word `i` maps onto product word `i`.
 pub fn cover_to_sop(cover: &Cover) -> Sop {
     cover
         .cubes
         .iter()
         .map(|c| {
-            let mut p: Product = (0..c.num_vars())
-                .filter_map(|v| match c.get(v) {
-                    Polarity::Pos => Some(mk_lit(v, false)),
-                    Polarity::Neg => Some(mk_lit(v, true)),
-                    _ => None,
-                })
-                .collect();
-            p.sort_unstable();
-            p
+            let mut words = Words::zeroed(c.words().len());
+            for (p, &w) in words.as_mut_slice().iter_mut().zip(c.words()) {
+                let pos = (w >> 1) & !w & LOW;
+                let neg = w & !(w >> 1) & LOW;
+                *p = pos | (neg << 1);
+            }
+            Product(words)
         })
         .collect()
 }
@@ -93,74 +226,62 @@ impl FactorTree {
 
 /// Algebraic division `f / d`: returns `(quotient, remainder)` such that
 /// `f = quotient·d + remainder` with algebraic (support-disjoint) products.
+/// The quotient is sorted and duplicate-free.
 pub fn divide(f: &Sop, d: &Sop) -> (Sop, Sop) {
-    if d.is_empty() {
-        return (Vec::new(), f.clone());
-    }
-    // Quotient = intersection over divisor cubes of {t \ c | c ⊆ t}.
-    let mut quotient: Option<BTreeSet<Product>> = None;
-    for c in d {
-        let mut set = BTreeSet::new();
-        for t in f {
-            if is_subset(c, t) {
-                set.insert(diff(t, c));
-            }
-        }
-        quotient = Some(match quotient {
-            None => set,
-            Some(q) => q.intersection(&set).cloned().collect(),
-        });
-        if quotient.as_ref().is_some_and(BTreeSet::is_empty) {
-            break;
-        }
-    }
-    let q: Sop = quotient.unwrap_or_default().into_iter().collect();
+    let q = quotient(&sorted(f), d);
     if q.is_empty() {
         return (q, f.clone());
     }
-    // Remainder: products of f not generated by q×d.
-    let mut generated = BTreeSet::new();
-    for qt in &q {
-        for dt in d {
-            generated.insert(merge(qt, dt));
-        }
-    }
-    let r: Sop = f
-        .iter()
-        .filter(|t| !generated.contains(*t))
-        .cloned()
-        .collect();
+    let r = remainder(f, &q, d);
     (q, r)
 }
 
-fn is_subset(small: &Product, big: &Product) -> bool {
-    small.iter().all(|l| big.binary_search(l).is_ok())
+fn sorted(f: &Sop) -> Sop {
+    let mut f = f.clone();
+    f.sort_unstable();
+    f
 }
 
-fn diff(t: &Product, c: &Product) -> Product {
-    t.iter()
-        .filter(|l| c.binary_search(l).is_err())
-        .copied()
+/// The quotient of `f / d`, given `f` sorted: the intersection over
+/// divisor cubes `c` of `{t \ c | c ⊆ t ∈ f}`. A product `p` is in that
+/// set for `c` exactly when `p` and `c` are disjoint and `p ∪ c` is in `f`.
+fn quotient(sorted_f: &[Product], d: &Sop) -> Sop {
+    let Some((first, rest)) = d.split_first() else {
+        return Vec::new();
+    };
+    let mut q: Sop = sorted_f
+        .iter()
+        .filter(|t| first.is_subset(t))
+        .map(|t| t.minus(first))
+        .collect();
+    q.sort_unstable();
+    q.dedup();
+    q.retain(|p| {
+        rest.iter()
+            .all(|c| p.is_disjoint(c) && sorted_f.binary_search(&p.or(c)).is_ok())
+    });
+    q
+}
+
+/// The products of `f` that `q·d` does not generate, in `f`'s order. Every
+/// quotient product is disjoint from every divisor cube, so `t` is
+/// generated exactly when some divisor cube `c ⊆ t` leaves `t \ c` in `q`.
+fn remainder(f: &Sop, q: &Sop, d: &Sop) -> Sop {
+    f.iter()
+        .filter(|t| {
+            !d.iter()
+                .any(|c| c.is_subset(t) && q.binary_search(&t.minus(c)).is_ok())
+        })
+        .cloned()
         .collect()
-}
-
-fn merge(a: &Product, b: &Product) -> Product {
-    let mut m: Product = a.iter().chain(b).copied().collect();
-    m.sort_unstable();
-    m.dedup();
-    m
 }
 
 /// Literals common to every product of `f` (the largest common cube).
 pub fn common_cube(f: &Sop) -> Product {
-    let Some(first) = f.first() else {
-        return Vec::new();
+    let Some((first, rest)) = f.split_first() else {
+        return Product::from_lits(0, &[]);
     };
-    let mut common: Product = first.clone();
-    for t in &f[1..] {
-        common.retain(|l| t.binary_search(l).is_ok());
-    }
-    common
+    rest.iter().fold(first.clone(), |c, t| c.and(t))
 }
 
 /// True if no literal appears in every product.
@@ -172,57 +293,62 @@ pub fn is_cube_free(f: &Sop) -> bool {
 /// `f` itself when cube-free. Brayton–McMullen recursive enumeration.
 pub fn kernels(f: &Sop) -> Vec<Sop> {
     let mut out = Vec::new();
-    let mut seen = BTreeSet::new();
-    kernels_rec(f, 0, &mut out, &mut seen);
+    let mut seen = HashSet::new();
+    let mut push = |k: Sop| {
+        let mut key = k.clone();
+        key.sort_unstable();
+        if seen.insert(key) {
+            out.push(k);
+        }
+    };
+    proper_kernels(f, 0, &mut push);
     if is_cube_free(f) {
-        push_kernel(f.clone(), &mut out, &mut seen);
+        push(f.clone());
     }
     out
 }
 
-fn push_kernel(k: Sop, out: &mut Vec<Sop>, seen: &mut BTreeSet<Vec<Product>>) {
-    let mut key = k.clone();
-    key.sort();
-    if seen.insert(key) {
-        out.push(k);
+/// Visits the kernels of `f` found by dividing out a literal `≥ min_lit`,
+/// duplicates included, each after the kernels found inside it. None of
+/// them equals `f`: `f` holds at least two products with the literal
+/// divided out, and the kernel none.
+fn proper_kernels(f: &Sop, min_lit: usize, visit: &mut impl FnMut(Sop)) {
+    let Some(first) = f.first() else {
+        return;
+    };
+    // Literals in at least two products, ascending.
+    let mut once = Product(Words::zeroed(first.0.as_slice().len()));
+    let mut twice = once.clone();
+    for t in f {
+        twice = twice.or(&once.and(t));
+        once = once.or(t);
     }
-}
-
-fn kernels_rec(f: &Sop, min_lit: Lit, out: &mut Vec<Sop>, seen: &mut BTreeSet<Vec<Product>>) {
-    let max_lit = f.iter().flatten().copied().max().unwrap_or(0);
-    for l in min_lit..=max_lit {
-        let with_l: Vec<&Product> = f.iter().filter(|t| t.binary_search(&l).is_ok()).collect();
-        if with_l.len() < 2 {
-            continue;
-        }
-        let stripped: Sop = with_l
-            .iter()
-            .map(|t| t.iter().filter(|&&x| x != l).copied().collect())
-            .collect();
-        let c = common_cube(&stripped);
+    for l in twice.lits().map(|l| l as usize).filter(|&l| l >= min_lit) {
+        let lit = first.lit_like(l);
+        let with_l = || f.iter().filter(|t| t.contains_lit(l));
+        // `once` holds every literal of `f`, so it seeds the intersection.
+        let c = with_l().fold(once.clone(), |c, t| c.and(t)).minus(&lit);
         // Skip if the common cube contains a smaller literal: that kernel is
         // enumerated at the smaller literal already.
-        if c.iter().any(|&x| x < l) {
+        if c.lits().next().is_some_and(|x| (x as usize) < l) {
             continue;
         }
-        let kernel: Sop = stripped.iter().map(|t| diff(t, &c)).collect();
-        kernels_rec(&kernel, l + 1, out, seen);
-        push_kernel(kernel, out, seen);
+        let strip = c.or(&lit);
+        let kernel: Sop = with_l().map(|t| t.minus(&strip)).collect();
+        proper_kernels(&kernel, l + 1, visit);
+        visit(kernel);
     }
 }
 
 /// Quick-factor: factors `f` into a [`FactorTree`] using the best kernel as
-/// divisor at each step, falling back to most-frequent-literal division.
+/// divisor at each step. Without a multi-cube kernel, no literal occurs in
+/// two products, and `f` stays a flat sum of products.
 ///
 /// ```
-/// use icdb_logic::{quick_factor, mk_lit};
+/// use icdb_logic::{quick_factor, mk_lit, Product};
 /// // f = a·c + a·d + b·c + b·d  →  (a + b)·(c + d)
-/// let f = vec![
-///     vec![mk_lit(0, false), mk_lit(2, false)],
-///     vec![mk_lit(0, false), mk_lit(3, false)],
-///     vec![mk_lit(1, false), mk_lit(2, false)],
-///     vec![mk_lit(1, false), mk_lit(3, false)],
-/// ];
+/// let p = |x, y| Product::from_lits(4, &[mk_lit(x, false), mk_lit(y, false)]);
+/// let f = vec![p(0, 2), p(0, 3), p(1, 2), p(1, 3)];
 /// let t = quick_factor(&f);
 /// assert_eq!(t.literal_count(), 4); // 8 literals flat, 4 factored
 /// ```
@@ -230,25 +356,19 @@ pub fn quick_factor(f: &Sop) -> FactorTree {
     if f.is_empty() {
         return FactorTree::Const(false);
     }
-    if f.iter().any(Vec::is_empty) {
+    if f.iter().any(Product::is_empty) {
         // A product with no literals is the constant 1.
         return FactorTree::Const(true);
     }
     if f.len() == 1 {
         return product_tree(&f[0]);
     }
-    // Choose a divisor: the best kernel by saved literals, if any.
-    let divisor = best_kernel(f);
-    match divisor {
-        Some(d) if !(d.len() == 1 && d[0].len() == 1) => {
-            let (q, r) = divide(f, &d);
-            if q.is_empty() {
-                literal_factor(f)
-            } else {
-                build_qdr(&q, &d, &r)
-            }
+    match best_kernel(f) {
+        Some((d, q)) => {
+            let r = remainder(f, &q, &d);
+            build_qdr(&q, &d, &r)
         }
-        _ => literal_factor(f),
+        None => flat_or(f),
     }
 }
 
@@ -282,32 +402,6 @@ fn build_qdr(q: &Sop, d: &Sop, r: &Sop) -> FactorTree {
     }
 }
 
-/// Fallback: divide by the most frequent literal.
-fn literal_factor(f: &Sop) -> FactorTree {
-    let mut counts = std::collections::HashMap::new();
-    for t in f {
-        for &l in t {
-            *counts.entry(l).or_insert(0usize) += 1;
-        }
-    }
-    let best = counts
-        .iter()
-        .max_by_key(|(_, c)| **c)
-        .map(|(&l, &c)| (l, c));
-    match best {
-        Some((l, c)) if c >= 2 => {
-            let d: Sop = vec![vec![l]];
-            let (q, r) = divide(f, &d);
-            if q.is_empty() {
-                flat_or(f)
-            } else {
-                build_qdr(&q, &d, &r)
-            }
-        }
-        _ => flat_or(f),
-    }
-}
-
 fn flat_or(f: &Sop) -> FactorTree {
     let mut terms: Vec<FactorTree> = f.iter().map(product_tree).collect();
     if terms.len() == 1 {
@@ -318,52 +412,42 @@ fn flat_or(f: &Sop) -> FactorTree {
 }
 
 fn product_tree(t: &Product) -> FactorTree {
-    if t.is_empty() {
-        return FactorTree::Const(true);
+    let mut lits: Vec<FactorTree> = t.lits().map(FactorTree::Lit).collect();
+    match lits.len() {
+        0 => FactorTree::Const(true),
+        1 => lits.pop().expect("one literal"),
+        _ => FactorTree::And(lits),
     }
-    if t.len() == 1 {
-        return FactorTree::Lit(t[0]);
-    }
-    FactorTree::And(t.iter().map(|&l| FactorTree::Lit(l)).collect())
 }
 
 /// The kernel with the highest extraction value
-/// (`(|quotient|−1) · literals(kernel)`), or `None` when `f` has no
-/// multi-cube kernels.
-fn best_kernel(f: &Sop) -> Option<Sop> {
-    let ks = kernels(f);
-    let mut f_sorted = f.clone();
-    f_sorted.sort();
-    let mut best: Option<(usize, Sop)> = None;
-    for k in ks {
-        if k.len() < 2 {
-            continue;
-        }
-        // Dividing f by itself recurses forever; the trivial quotient 1
-        // gains nothing anyway.
-        let mut k_sorted = k.clone();
-        k_sorted.sort();
-        if k_sorted == f_sorted {
-            continue;
-        }
-        let (q, _r) = divide(f, &k);
+/// (`(|quotient|−1) · literals(kernel)`, the first on a tie) and its
+/// quotient, or `None` when `f` has no multi-cube kernel other than
+/// itself. Dividing `f` by itself would recurse forever, and its trivial
+/// quotient 1 gains nothing, so only [`proper_kernels`] compete; a
+/// repeated kernel never beats its first occurrence.
+fn best_kernel(f: &Sop) -> Option<(Sop, Sop)> {
+    let sorted_f = sorted(f);
+    let mut best: Option<(usize, Sop, Sop)> = None;
+    proper_kernels(f, 0, &mut |k| {
+        let q = quotient(&sorted_f, &k);
         if q.is_empty() {
-            continue;
+            return;
         }
-        let lits_k: usize = k.iter().map(Vec::len).sum();
-        let value = q.len().saturating_sub(1) * lits_k;
-        if best.as_ref().is_none_or(|(v, _)| value > *v) {
-            best = Some((value, k));
+        let lits_k: usize = k.iter().map(Product::len).sum();
+        let value = (q.len() - 1) * lits_k;
+        if best.as_ref().is_none_or(|(v, ..)| value > *v) {
+            best = Some((value, k, q));
         }
-    }
-    best.map(|(_, k)| k)
+    });
+    best.map(|(_, k, q)| (k, q))
 }
 
 /// Evaluates an algebraic SOP under an assignment (test helper and invariant
 /// anchor for the factoring code).
 pub fn sop_eval(f: &Sop, assignment: &[bool]) -> bool {
     f.iter()
-        .any(|t| t.iter().all(|&l| assignment[lit_var(l)] ^ lit_neg(l)))
+        .any(|t| t.lits().all(|l| assignment[lit_var(l)] ^ lit_neg(l)))
 }
 
 #[cfg(test)]
@@ -374,9 +458,8 @@ mod tests {
         products
             .iter()
             .map(|p| {
-                let mut t: Product = p.iter().map(|&(v, n)| mk_lit(v, n)).collect();
-                t.sort_unstable();
-                t
+                let lits: Vec<Lit> = p.iter().map(|&(v, n)| mk_lit(v, n)).collect();
+                Product::from_lits(8, &lits)
             })
             .collect()
     }

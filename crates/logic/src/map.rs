@@ -40,6 +40,13 @@ pub fn map_network(
     Ok(nl)
 }
 
+/// Most input pins a mappable cell may have: a match binds its pins in a
+/// stack array of this size.
+const MAX_PINS: usize = 16;
+
+/// A pin binding that no pattern leaf has claimed yet.
+const UNBOUND: u32 = u32::MAX;
+
 struct CellPattern<'l> {
     cell: CellId,
     pattern: &'l Pattern,
@@ -52,20 +59,30 @@ struct Mapper<'a, 'l> {
     lib: &'l Library,
     objective: MapObjective,
     graph: &'a SubjectGraph,
-    patterns: Vec<CellPattern<'l>>,
+    /// The patterns rooted in an inverter and in a NAND, each in library
+    /// order. A pattern rooted in a leaf would bind a node to itself, which
+    /// is never solved when it is bound, so none is tried.
+    inv_patterns: Vec<CellPattern<'l>>,
+    nand_patterns: Vec<CellPattern<'l>>,
     netlist: GateNetlist,
     /// Subject node → netlist net carrying its value (assigned for leaves
     /// and cover roots).
-    net_of: HashMap<u32, GNet>,
+    net_of: Vec<Option<GNet>>,
+    /// Subject node → its cheapest cover. A node is solved in exactly one
+    /// tree (a tree stops at multi-fanout nodes), so one table serves the
+    /// whole map.
+    best: Vec<Option<Choice>>,
     inv_cell: CellId,
     buf_cell: CellId,
 }
 
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct Choice {
     cell: CellId,
-    /// Subject nodes bound to the cell's input pins, in pin order.
-    bindings: Vec<u32>,
+    /// Subject nodes bound to the cell's input pins, in pin order; the
+    /// first `arity` entries are used.
+    bindings: [u32; MAX_PINS],
+    arity: usize,
     cost: f64,
 }
 
@@ -76,19 +93,30 @@ impl<'a, 'l> Mapper<'a, 'l> {
         objective: MapObjective,
         graph: &'a SubjectGraph,
     ) -> Result<Self, NetlistError> {
-        let mut patterns = Vec::new();
+        let mut inv_patterns = Vec::new();
+        let mut nand_patterns = Vec::new();
         for (id, cell) in lib.mappable() {
+            if cell.inputs.len() > MAX_PINS {
+                return Err(NetlistError {
+                    message: format!("cell {} has more than {MAX_PINS} input pins", cell.name),
+                });
+            }
             for p in &cell.patterns {
                 let cost = match objective {
                     MapObjective::Area => cell.geometry.width,
                     MapObjective::Delay => cell.timing.y,
                 };
-                patterns.push(CellPattern {
+                let cp = CellPattern {
                     cell: id,
                     pattern: p,
                     arity: cell.inputs.len(),
                     cost,
-                });
+                };
+                match p {
+                    Pattern::Inv(_) => inv_patterns.push(cp),
+                    Pattern::Nand(..) => nand_patterns.push(cp),
+                    Pattern::Leaf(_) => {}
+                }
             }
         }
         let inv_cell = lib.cell_id("INV").ok_or_else(|| NetlistError {
@@ -102,9 +130,11 @@ impl<'a, 'l> Mapper<'a, 'l> {
             lib,
             objective,
             graph,
-            patterns,
+            inv_patterns,
+            nand_patterns,
             netlist: GateNetlist::new(network.name.clone()),
-            net_of: HashMap::new(),
+            net_of: vec![None; graph.nodes.len()],
+            best: vec![None; graph.nodes.len()],
             inv_cell,
             buf_cell,
         })
@@ -166,7 +196,7 @@ impl<'a, 'l> Mapper<'a, 'l> {
                 Some(&n) => self.netlist.intern(self.network.net_name(n)),
                 None => self.netlist.fresh(&format!("map${r}")),
             };
-            self.net_of.insert(r, net);
+            self.net_of[r as usize] = Some(net);
         }
 
         // Cover each tree (children precede parents in the arena, so
@@ -178,7 +208,7 @@ impl<'a, 'l> Mapper<'a, 'l> {
         // Extra roots sharing a subject node get buffers.
         for (&idx, nets) in &root_net {
             if nets.len() > 1 {
-                let src = self.net_of[&idx];
+                let src = self.net_of[idx as usize].expect("cover roots have nets");
                 for &extra in &nets[1..] {
                     let out = self.netlist.intern(self.network.net_name(extra));
                     self.netlist.gates.push(Gate {
@@ -203,13 +233,13 @@ impl<'a, 'l> Mapper<'a, 'l> {
 
     /// Net carrying the value of a boundary subject node.
     fn boundary_net(&mut self, idx: u32) -> GNet {
-        if let Some(&g) = self.net_of.get(&idx) {
+        if let Some(g) = self.net_of[idx as usize] {
             return g;
         }
         match self.graph.nodes[idx as usize].kind {
             SubjectKind::Leaf(n) => {
                 let g = self.netlist.intern(self.network.net_name(n));
-                self.net_of.insert(idx, g);
+                self.net_of[idx as usize] = Some(g);
                 g
             }
             _ => unreachable!("non-leaf boundaries are pre-assigned"),
@@ -220,7 +250,7 @@ impl<'a, 'l> Mapper<'a, 'l> {
         // Leaf root: a buffer from the leaf's net.
         if let SubjectKind::Leaf(n) = self.graph.nodes[root as usize].kind {
             let src = self.netlist.intern(self.network.net_name(n));
-            let out = self.net_of[&root];
+            let out = self.net_of[root as usize].expect("cover roots have nets");
             if src != out {
                 self.netlist.gates.push(Gate {
                     cell: self.buf_cell,
@@ -233,70 +263,58 @@ impl<'a, 'l> Mapper<'a, 'l> {
         }
 
         // Bottom-up DP over tree-internal nodes.
-        let mut best: HashMap<u32, Choice> = HashMap::new();
-        self.solve(root, root, &mut best)?;
-        self.emit(root, root, &best);
+        self.solve(root, root)?;
+        self.emit(root);
         Ok(())
     }
 
-    fn solve(
-        &mut self,
-        n: u32,
-        root: u32,
-        best: &mut HashMap<u32, Choice>,
-    ) -> Result<(), NetlistError> {
-        if best.contains_key(&n) {
+    fn solve(&mut self, n: u32, root: u32) -> Result<(), NetlistError> {
+        if self.best[n as usize].is_some() {
             return Ok(());
         }
         if n != root && self.is_boundary(n) {
             return Ok(()); // external input for this tree
         }
-        // Ensure children solved first.
-        match self.graph.nodes[n as usize].kind {
+        // Ensure children solved first; only patterns rooted in the
+        // node's own kind can match it.
+        let patterns = match self.graph.nodes[n as usize].kind {
             SubjectKind::Leaf(_) => return Ok(()),
-            SubjectKind::Inv(a) => self.solve(a, root, best)?,
-            SubjectKind::Nand(a, b) => {
-                self.solve(a, root, best)?;
-                self.solve(b, root, best)?;
+            SubjectKind::Inv(a) => {
+                self.solve(a, root)?;
+                &self.inv_patterns
             }
-        }
+            SubjectKind::Nand(a, b) => {
+                self.solve(a, root)?;
+                self.solve(b, root)?;
+                &self.nand_patterns
+            }
+        };
         let mut choice: Option<Choice> = None;
-        for cp in &self.patterns {
-            let mut bindings = vec![None; cp.arity];
+        for cp in patterns {
+            let mut bindings = [UNBOUND; MAX_PINS];
             if match_pattern(self.graph, cp.pattern, n, n, &mut bindings) {
-                let bound: Vec<u32> = bindings
-                    .into_iter()
-                    .map(|b| b.expect("pattern leaves fully bound"))
-                    .collect();
-                // All bound nodes must be solved (they are inputs).
+                // A bound node is a proper descendant of `n`: a boundary
+                // (an input of this tree), or a tree-internal node, which
+                // the recursion above has solved.
                 let mut cost = cp.cost;
-                let mut feasible = true;
-                for &b in &bound {
-                    if b != root && self.is_boundary(b) {
+                for &b in &bindings[..cp.arity] {
+                    assert_ne!(b, UNBOUND, "pattern leaves fully bound");
+                    if self.is_boundary(b) {
                         continue;
                     }
-                    match self.graph.nodes[b as usize].kind {
-                        SubjectKind::Leaf(_) => {}
-                        _ => {
-                            if let Some(c) = best.get(&b) {
-                                match self.objective {
-                                    MapObjective::Area => cost += c.cost,
-                                    MapObjective::Delay => cost = cost.max(cp.cost + c.cost),
-                                }
-                            } else {
-                                feasible = false;
-                                break;
-                            }
-                        }
+                    let c = self.best[b as usize]
+                        .as_ref()
+                        .expect("tree-internal nodes are solved before their parents");
+                    match self.objective {
+                        MapObjective::Area => cost += c.cost,
+                        MapObjective::Delay => cost = cost.max(cp.cost + c.cost),
                     }
-                }
-                if !feasible {
-                    continue;
                 }
                 if choice.as_ref().is_none_or(|c| cost < c.cost) {
                     choice = Some(Choice {
                         cell: cp.cell,
-                        bindings: bound,
+                        bindings,
+                        arity: cp.arity,
                         cost,
                     });
                 }
@@ -305,35 +323,28 @@ impl<'a, 'l> Mapper<'a, 'l> {
         let choice = choice.ok_or_else(|| NetlistError {
             message: format!("no cell pattern matches subject node {n} (library incomplete?)"),
         })?;
-        best.insert(n, choice);
+        self.best[n as usize] = Some(choice);
         Ok(())
     }
 
-    fn emit(&mut self, n: u32, root: u32, best: &HashMap<u32, Choice>) {
-        let choice = best[&n].clone();
-        let mut inputs = Vec::with_capacity(choice.bindings.len());
-        for &b in &choice.bindings {
-            if b != root && self.is_boundary(b) {
-                inputs.push(self.boundary_net(b));
+    fn emit(&mut self, n: u32) {
+        let choice = self.best[n as usize].expect("emitted nodes are solved");
+        let mut inputs = Vec::with_capacity(choice.arity);
+        for &b in &choice.bindings[..choice.arity] {
+            let net = if self.is_boundary(b) {
+                self.boundary_net(b)
+            } else if let Some(net) = self.net_of[b as usize] {
+                net
             } else {
-                match self.graph.nodes[b as usize].kind {
-                    SubjectKind::Leaf(net) => {
-                        let g = self.netlist.intern(self.network.net_name(net));
-                        inputs.push(g);
-                    }
-                    _ => {
-                        // Internal bound node: emit its own gate on a fresh net.
-                        if !self.net_of.contains_key(&b) {
-                            let fresh = self.netlist.fresh(&format!("m${b}"));
-                            self.net_of.insert(b, fresh);
-                            self.emit(b, root, best);
-                        }
-                        inputs.push(self.net_of[&b]);
-                    }
-                }
-            }
+                // Internal bound node: emit its own gate on a fresh net.
+                let fresh = self.netlist.fresh(&format!("m${b}"));
+                self.net_of[b as usize] = Some(fresh);
+                self.emit(b);
+                fresh
+            };
+            inputs.push(net);
         }
-        let output = self.net_of[&n];
+        let output = self.net_of[n as usize].expect("emitted nodes have nets");
         self.netlist.gates.push(Gate {
             cell: choice.cell,
             inputs,
@@ -538,17 +549,16 @@ fn match_pattern(
     pattern: &Pattern,
     node: u32,
     match_root: u32,
-    bindings: &mut [Option<u32>],
+    bindings: &mut [u32; MAX_PINS],
 ) -> bool {
     match pattern {
         Pattern::Leaf(i) => {
             let slot = &mut bindings[*i as usize];
-            match slot {
-                Some(existing) => *existing == node,
-                None => {
-                    *slot = Some(node);
-                    true
-                }
+            if *slot == UNBOUND {
+                *slot = node;
+                true
+            } else {
+                *slot == node
             }
         }
         Pattern::Inv(p) => {
@@ -566,13 +576,13 @@ fn match_pattern(
             }
             match g.nodes[node as usize].kind {
                 SubjectKind::Nand(a, b) => {
-                    let save: Vec<Option<u32>> = bindings.to_vec();
+                    let save = *bindings;
                     if match_pattern(g, pa, a, match_root, bindings)
                         && match_pattern(g, pb, b, match_root, bindings)
                     {
                         return true;
                     }
-                    bindings.copy_from_slice(&save);
+                    *bindings = save;
                     match_pattern(g, pa, b, match_root, bindings)
                         && match_pattern(g, pb, a, match_root, bindings)
                 }

@@ -62,7 +62,7 @@ fn expand(on: &mut Cover, off: &Cover) {
         for v in cube.support() {
             let saved = cube.get(v);
             cube.set(v, Polarity::DontCare);
-            let hits_off = off.cubes.iter().any(|o| o.intersect(&cube).is_some());
+            let hits_off = off.cubes.iter().any(|o| o.intersects(&cube));
             if hits_off {
                 cube.set(v, saved);
             }
@@ -75,17 +75,7 @@ fn expand(on: &mut Cover, off: &Cover) {
 fn irredundant(on: &mut Cover) {
     let mut i = 0;
     while i < on.cubes.len() {
-        let cube = on.cubes[i].clone();
-        let rest = Cover::from_cubes(
-            on.num_vars(),
-            on.cubes
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, c)| c.clone())
-                .collect(),
-        );
-        if rest.covers_cube(&cube) {
+        if on.others_cover(i) {
             on.cubes.remove(i);
         } else {
             i += 1;

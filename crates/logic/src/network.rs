@@ -703,11 +703,11 @@ impl Network {
     pub fn eliminate(&mut self, max_support: usize, max_cubes: usize) -> usize {
         let mut eliminated = 0;
         loop {
-            // Count fanouts of each node output.
-            let mut fanout: HashMap<NetId, usize> = HashMap::new();
+            // Count fanouts of each net.
+            let mut fanout = vec![0usize; self.net_count()];
             for n in &self.nodes {
                 for f in &n.fanins {
-                    *fanout.entry(*f).or_insert(0) += 1;
+                    fanout[f.index()] += 1;
                 }
             }
             for r in &self.registers {
@@ -715,12 +715,12 @@ impl Network {
                     .into_iter()
                     .flatten()
                 {
-                    *fanout.entry(f).or_insert(0) += 1;
+                    fanout[f.index()] += 1;
                 }
             }
             for s in &self.specials {
                 for f in s.inputs() {
-                    *fanout.entry(f).or_insert(0) += 1;
+                    fanout[f.index()] += 1;
                 }
             }
 
@@ -729,7 +729,7 @@ impl Network {
                 if self.outputs.contains(&p.output) {
                     continue;
                 }
-                if fanout.get(&p.output).copied().unwrap_or(0) != 1 {
+                if fanout[p.output.index()] != 1 {
                     continue;
                 }
                 for (ci, c) in self.nodes.iter().enumerate() {

@@ -250,6 +250,29 @@ impl Database {
         Ok(before - t.rows.len())
     }
 
+    /// Deletes, in one pass, every row whose `column` value satisfies
+    /// `doomed`; returns how many went.
+    ///
+    /// # Errors
+    /// Fails on an unknown table or column.
+    pub fn delete_rows(
+        &mut self,
+        table: &str,
+        column: &str,
+        doomed: impl Fn(&Value) -> bool,
+    ) -> Result<usize, StoreError> {
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| serr(format!("no table `{table}`")))?;
+        let c = t
+            .column_index(column)
+            .ok_or_else(|| serr(format!("no column `{column}` in `{table}`")))?;
+        let before = t.rows.len();
+        t.rows.retain(|r| !doomed(&r[c]));
+        Ok(before - t.rows.len())
+    }
+
     /// Programmatic insert (used by the managers on hot paths).
     ///
     /// # Errors
@@ -316,6 +339,7 @@ impl Database {
                 other => return Err(serr(format!("expected `,` or `)`, found {other:?}"))),
             }
         }
+        expect_end(toks, i + 1, "statement")?;
         self.tables.insert(
             name.clone(),
             Table {
@@ -342,6 +366,7 @@ impl Database {
                 other => return Err(serr(format!("expected `,` or `)`, found {other:?}"))),
             }
         }
+        expect_end(toks, i + 1, "statement")?;
         self.insert(&name, row)?;
         Ok(1)
     }
@@ -701,6 +726,14 @@ mod tests {
         assert_eq!(db.delete("comp", &name).unwrap(), 0);
         assert!(db.delete("comp", &[("nope".into(), Value::Null)]).is_err());
         assert_eq!(db.delete("comp", &[]).unwrap(), 3);
+        let e = db.execute("CREATE TABLE t (a TEXT) junk here").unwrap_err();
+        assert!(e.message.contains("trailing tokens"), "{e}");
+        assert!(db.query("SELECT * FROM t").is_err(), "no table was made");
+        let e = db
+            .execute("INSERT INTO comp VALUES ('x', 'adder', 1.0, 1) junk")
+            .unwrap_err();
+        assert!(e.message.contains("trailing tokens"), "{e}");
+        assert!(db.query("SELECT * FROM comp").unwrap().is_empty());
     }
 
     #[test]

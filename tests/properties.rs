@@ -140,7 +140,7 @@ proptest! {
         for asg in all_assignments(6) {
             prop_assert_eq!(tree.eval(&asg), sop_eval(&sop, &asg));
         }
-        let flat_lits: usize = sop.iter().map(Vec::len).sum();
+        let flat_lits: usize = sop.iter().map(icdb::logic::Product::len).sum();
         prop_assert!(tree.literal_count() <= flat_lits.max(1));
     }
 
