@@ -9,7 +9,7 @@ use crate::netlist::{GNet, Gate, GateNetlist, NetlistError};
 use crate::network::{NetId, Network, Special};
 use icdb_cells::{CellFunction, CellId, ClockEdge, LatchLevel, Library, Pattern};
 use icdb_iif::ClockKind;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Objective driving the covering cost function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -175,7 +175,7 @@ impl<'a, 'l> Mapper<'a, 'l> {
         }
 
         // Cover roots: declared roots plus multi-fanout internal nodes.
-        let mut root_net: HashMap<u32, Vec<NetId>> = HashMap::new();
+        let mut root_net: BTreeMap<u32, Vec<NetId>> = BTreeMap::new();
         for &(idx, net) in &self.graph.roots {
             root_net.entry(idx).or_default().push(net);
         }
@@ -205,7 +205,8 @@ impl<'a, 'l> Mapper<'a, 'l> {
             self.cover_tree(r)?;
         }
 
-        // Extra roots sharing a subject node get buffers.
+        // Extra roots sharing a subject node get buffers, in ascending
+        // subject-node order (the map's order), so the gate order repeats.
         for (&idx, nets) in &root_net {
             if nets.len() > 1 {
                 let src = self.net_of[idx as usize].expect("cover roots have nets");
@@ -793,6 +794,31 @@ VARIABLE: i;
         let h = nl.cell_histogram(&lib);
         assert_eq!(h.get("TRIBUF"), Some(&2), "{h:?}");
         assert_eq!(h.get("WOR"), Some(&1), "{h:?}");
+    }
+
+    /// Extra outputs that share a subject node get their BUFs in
+    /// ascending subject-node order, so every synthesis of a module emits
+    /// the same gates in the same order.
+    #[test]
+    fn shared_root_buffers_come_in_one_order() {
+        let src = "NAME: S; INORDER: C, D, E, F; OUTORDER: O1, O2, O3, O4;
+                   { O1 = !(C*D); O2 = !(C*D); O3 = !(E*F); O4 = !(E*F); }";
+        let lib = Library::standard();
+        let flat = expand(&parse(src).unwrap(), &[], &NoModules).unwrap();
+        let outputs = || {
+            let nl = crate::synthesize(&flat, &lib, &crate::SynthOptions::default()).unwrap();
+            let outputs: Vec<String> = nl
+                .gates
+                .iter()
+                .map(|g| nl.net_name(g.output).to_string())
+                .collect();
+            outputs
+        };
+        let first = outputs();
+        assert!(first.iter().any(|o| o == "O2") && first.iter().any(|o| o == "O4"));
+        for _ in 0..50 {
+            assert_eq!(outputs(), first);
+        }
     }
 
     #[test]
