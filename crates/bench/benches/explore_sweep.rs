@@ -2,7 +2,10 @@
 //!
 //! * `sweep` — a warm design-space sweep (every grid point already in the
 //!   generation cache) must be ≥10× faster than a cold one: exploration
-//!   amortizes through the same cache that serves plain component requests;
+//!   amortizes through the same cache that serves plain component requests.
+//!   Each cold run also asserts that it missed the flat and netlist layers
+//!   exactly once per distinct netlist (implementation × width, shared by
+//!   both strategies), at this machine's core count of workers;
 //! * `sizing` — TILOS sizing re-times one gate per trial move on a
 //!   `TimingGraph`. Its speedup is the reference loop's time (a full STA
 //!   per trial, `icdb_bench::reference`) over `size_netlist`'s, both
@@ -197,13 +200,25 @@ fn measure_synthesis() -> String {
 fn measure_summary() -> String {
     let spec = sweep_spec();
     let mut icdb = Icdb::new();
+    let netlists = (icdb.library.by_component_type("counter").len() * spec.widths.len()) as u64;
     let cold = median(
         (0..5)
             .map(|_| {
                 icdb.clear_generation_cache();
+                let before = icdb.cache_stats();
                 let t = Instant::now();
                 black_box(icdb.explore(&spec).unwrap());
-                t.elapsed()
+                let elapsed = t.elapsed();
+                let after = icdb.cache_stats();
+                assert_eq!(
+                    (
+                        after.flat.misses - before.flat.misses,
+                        after.netlist.misses - before.netlist.misses
+                    ),
+                    (netlists, netlists),
+                    "a cold sweep builds each distinct netlist once"
+                );
+                elapsed
             })
             .collect(),
     );

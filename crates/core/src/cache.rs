@@ -10,11 +10,20 @@
 //! it in a bounded LRU layer:
 //!
 //! 1. **flat layer** — expanded [`FlatModule`]s keyed by
-//!    (module source, sorted parameters, library version);
+//!    (module source, sorted parameters, library version), each with its
+//!    expanded-IIF and MILO views;
 //! 2. **netlist layer** — synthesized, unsized [`GateNetlist`]s keyed by
-//!    (flat key, synthesis-option fingerprint);
+//!    (flat key, synthesis-option fingerprint), each with its VHDL and
+//!    VHDL-head views;
 //! 3. **result layer** — the complete sized/estimated
 //!    [`GenerationPayload`] keyed by the full [`RequestKey`].
+//!
+//! The views held by the first two layers do not depend on sizing: the
+//! IIF and MILO texts render from the flat module alone, and sizing
+//! changes only each gate's drive strength, which neither VHDL view
+//! prints. So every payload built on one module shares those four
+//! `Arc<str>`s, whatever its strategy or constraints, and only the delay
+//! and shape views render per payload.
 //!
 //! A warm `request_component` therefore does one hash lookup plus a cheap
 //! instance clone (net names are interned `Arc<str>`, file-store views are
@@ -23,18 +32,24 @@
 //! and `implementation:COUNTER` with the same attributes resolve to the
 //! same key.
 //!
-//! All three layers sit behind mutexes so the batch entry point
-//! ([`crate::Icdb::request_components_batch`]) can fan cold requests out
-//! across `std::thread::scope` workers sharing one cache. Statistics
+//! All three layers sit behind mutexes so a batch or a sweep
+//! ([`crate::Icdb::request_components_batch`], [`crate::Icdb::explore`])
+//! can generate its cold points on `std::thread::scope` workers sharing
+//! one cache. Such a batch looks each point up in the result layer once,
+//! then looks each distinct netlist key of its misses up in the flat and
+//! netlist layers once, so a netlist shared by several points is built
+//! once. Statistics
 //! (hits, misses, evictions, entries, capacity) are kept per layer and
 //! surfaced through [`crate::Icdb::cache_stats`], the `cache_query` CQL
 //! command, and the relational `cache_stats` table.
 
 use crate::spec::ComponentRequest;
+use icdb_cells::Library;
 use icdb_estimate::{DelayReport, LoadSpec, ShapeFunction};
 use icdb_genus::ConnectionTable;
 use icdb_iif::FlatModule;
 use icdb_logic::{GateNetlist, MapObjective, SynthOptions};
+use icdb_vhdl::{emit_entity, emit_netlist};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -102,6 +117,53 @@ impl GenerationPayload {
     }
 }
 
+/// A flat-layer entry: an expanded module with the two views rendered
+/// from it alone.
+#[derive(Debug)]
+pub(crate) struct FlatEntry {
+    /// The expanded module synthesis runs on.
+    pub(crate) module: FlatModule,
+    /// Expanded-IIF view.
+    pub(crate) iif: Arc<str>,
+    /// MILO-format view.
+    pub(crate) milo: Arc<str>,
+}
+
+impl FlatEntry {
+    /// Renders the module's views.
+    pub(crate) fn new(module: FlatModule) -> FlatEntry {
+        FlatEntry {
+            iif: module.to_string().into(),
+            milo: module.to_milo_format().into(),
+            module,
+        }
+    }
+}
+
+/// A netlist-layer entry: an unsized netlist with the two VHDL views,
+/// which every sizing of it shares (sizing changes only `Gate::size`,
+/// which neither view prints).
+#[derive(Debug)]
+pub(crate) struct NetEntry {
+    /// The technology-mapped, unsized netlist.
+    pub(crate) netlist: GateNetlist,
+    /// Structural-VHDL view.
+    pub(crate) vhdl: Arc<str>,
+    /// VHDL entity head.
+    pub(crate) vhdl_head: Arc<str>,
+}
+
+impl NetEntry {
+    /// Renders the netlist's views against the cells it was mapped to.
+    pub(crate) fn new(netlist: GateNetlist, cells: &Library) -> NetEntry {
+        NetEntry {
+            vhdl: emit_netlist(&netlist, cells).into(),
+            vhdl_head: emit_entity(&netlist).into(),
+            netlist,
+        }
+    }
+}
+
 // ------------------------------------------------------------------- keys
 
 /// Bit-exact, hashable stand-in for an `f64` constraint value.
@@ -131,7 +193,7 @@ pub enum SourceKey {
 }
 
 /// Key of the flat-module layer: module source + sorted parameter binding
-/// (built by [`RequestKey::flat_key`]).
+/// (part of a [`NetKey`], built from a [`RequestKey`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FlatKey {
     source: SourceKey,
@@ -169,13 +231,9 @@ pub struct NetKey {
 }
 
 impl NetKey {
-    /// Builds a netlist-layer key.
-    pub fn new(flat: FlatKey, options: &SynthOptions, cells_version: u64) -> NetKey {
-        NetKey {
-            flat,
-            synth: SynthKey::from(options),
-            cells_version,
-        }
+    /// The flat-layer key of the netlist's module.
+    pub(crate) fn flat(&self) -> &FlatKey {
+        &self.flat
     }
 }
 
@@ -245,12 +303,18 @@ impl RequestKey {
         }
     }
 
-    /// The flat-layer key sharing this request's source and parameters.
-    pub fn flat_key(&self) -> FlatKey {
-        FlatKey {
-            source: self.source.clone(),
-            params: self.params.clone(),
-            library_version: self.library_version,
+    /// The netlist-layer key of this request's module synthesized under
+    /// `options` against the request's cell library: equal for every
+    /// strategy and constraint.
+    pub(crate) fn net_key(&self, options: &SynthOptions) -> NetKey {
+        NetKey {
+            flat: FlatKey {
+                source: self.source.clone(),
+                params: self.params.clone(),
+                library_version: self.library_version,
+            },
+            synth: SynthKey::from(options),
+            cells_version: self.cells_version,
         }
     }
 
@@ -419,8 +483,8 @@ impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
 /// own mutex, so concurrent batch workers contend per layer, not globally.
 #[derive(Debug)]
 pub struct GenCache {
-    flats: Mutex<LruMap<FlatKey, Arc<FlatModule>>>,
-    netlists: Mutex<LruMap<NetKey, Arc<GateNetlist>>>,
+    flats: Mutex<LruMap<FlatKey, Arc<FlatEntry>>>,
+    netlists: Mutex<LruMap<NetKey, Arc<NetEntry>>>,
     results: Mutex<LruMap<RequestKey, Arc<GenerationPayload>>>,
 }
 
@@ -447,23 +511,23 @@ impl GenCache {
         }
     }
 
-    /// Looks up an expanded module.
-    pub fn get_flat(&self, key: &FlatKey) -> Option<Arc<FlatModule>> {
+    /// Looks up an expanded module with its views.
+    pub(crate) fn get_flat(&self, key: &FlatKey) -> Option<Arc<FlatEntry>> {
         lock(&self.flats).get(key)
     }
 
-    /// Stores an expanded module.
-    pub fn put_flat(&self, key: FlatKey, value: Arc<FlatModule>) {
+    /// Stores an expanded module with its views.
+    pub(crate) fn put_flat(&self, key: FlatKey, value: Arc<FlatEntry>) {
         lock(&self.flats).insert(key, value);
     }
 
-    /// Looks up a synthesized (unsized) netlist.
-    pub fn get_netlist(&self, key: &NetKey) -> Option<Arc<GateNetlist>> {
+    /// Looks up a synthesized (unsized) netlist with its views.
+    pub(crate) fn get_netlist(&self, key: &NetKey) -> Option<Arc<NetEntry>> {
         lock(&self.netlists).get(key)
     }
 
-    /// Stores a synthesized (unsized) netlist.
-    pub fn put_netlist(&self, key: NetKey, value: Arc<GateNetlist>) {
+    /// Stores a synthesized (unsized) netlist with its views.
+    pub(crate) fn put_netlist(&self, key: NetKey, value: Arc<NetEntry>) {
         lock(&self.netlists).insert(key, value);
     }
 
@@ -550,7 +614,8 @@ mod tests {
         let k1 = RequestKey::new(SourceKey::Implementation("COUNTER".into()), &p1, &req, 0, 0);
         let k2 = RequestKey::new(SourceKey::Implementation("COUNTER".into()), &p2, &req, 0, 0);
         assert_eq!(k1, k2);
-        assert_eq!(k1.flat_key(), k2.flat_key());
+        let options = SynthOptions::default();
+        assert_eq!(k1.net_key(&options), k2.net_key(&options));
     }
 
     #[test]

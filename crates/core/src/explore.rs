@@ -5,11 +5,16 @@
 //! names, component type, or required functions) and crosses them with
 //! the requested bit-widths and sizing strategies. Each grid point is
 //! resolved once and looked up once in the durable exploration corpus by
-//! its canonical key; the misses are answered from the generation cache's
-//! result layer or run through the pipeline on scoped worker threads, and
-//! queued for the corpus. Estimated `(area, delay, power)` metrics feed an
-//! [`icdb_explore::Explorer`], which computes the exact Pareto front and
-//! selects a winner under the sweep's [`Objective`].
+//! its canonical key; the misses are prepared as one batch and queued for
+//! the corpus. The batch looks each point up once in the generation
+//! cache's result layer and generates the rest in two phases on scoped
+//! worker threads: each distinct netlist among them (the `cheapest` and
+//! `fastest` points of one width share one) is expanded, synthesized and
+//! rendered once, then each point is sized and estimated. So a cold sweep
+//! misses the flat and netlist layers exactly once per distinct missing
+//! netlist, at any worker count. Estimated `(area, delay, power)` metrics
+//! feed an [`icdb_explore::Explorer`], which computes the exact Pareto
+//! front and selects a winner under the sweep's [`Objective`].
 //!
 //! The sweep is read-only (`&self`): no instance is installed, so the
 //! concurrent [`crate::service::IcdbService`] runs every served sweep on
@@ -18,13 +23,12 @@
 //! (like `cache_stats`); only that journaling enters the commit section.
 
 use crate::error::IcdbError;
-use crate::server::{fan_out, Resolved};
+use crate::server::Resolved;
 use crate::spec::ComponentRequest;
 use crate::Icdb;
 use icdb_explore::{DesignPoint, ExplorationReport, Explorer, Objective};
 use icdb_store::corpus::CorpusPoint;
 use icdb_store::Value;
-use std::sync::Arc;
 
 /// The grid attribute swept by [`ExploreSpec::widths`].
 const WIDTH_ATTR: &str = "size";
@@ -55,8 +59,9 @@ pub struct ExploreSpec {
     pub attributes: Vec<(String, String)>,
     /// Winner-selection objective.
     pub objective: Objective,
-    /// Scoped worker threads for the cold evaluations; clamped to
-    /// `1..=grid size` (0 means sequential, like
+    /// Scoped worker threads for the cold evaluations; clamped, in each
+    /// phase, to `1..=` the number of distinct netlists or of points that
+    /// phase generates (0 means sequential, like
     /// [`Icdb::request_components_batch`]).
     pub workers: usize,
     /// Whether the sweep may answer grid points from the durable
@@ -181,9 +186,10 @@ impl Icdb {
     /// The full sweep: look up, evaluate the misses, record. Each grid
     /// point is resolved once and looked up once in the corpus by its
     /// canonical key; the points the corpus cannot answer (every point
-    /// under `prune:0`) are evaluated through the generation cache's result
-    /// layer; fresh evaluations are queued for the next journaled flush
-    /// ([`Icdb::flush_corpus`]).
+    /// under `prune:0`) are evaluated as one batch through the generation
+    /// cache (one result-layer lookup each, then one flat and one netlist
+    /// lookup per distinct netlist among the misses); fresh evaluations are
+    /// queued for the next journaled flush ([`Icdb::flush_corpus`]).
     ///
     /// The report equals an unpruned sweep's (see [`ExploreSpec::prune`]).
     ///
@@ -215,28 +221,18 @@ impl Icdb {
         stats.corpus_misses = resolved.iter().flatten().count() - stats.corpus_hits;
 
         // Evaluate the points the corpus does not answer (its misses, or
-        // every point under `prune:0`): from the result layer, or else
-        // through the pipeline. Worker threads start only when some point
-        // misses both memos.
+        // every point under `prune:0`) as one batch. Worker threads start
+        // only when some point misses both memos.
         let todo: Vec<_> = grid
             .iter()
             .zip(&resolved)
             .zip(&stored)
             .filter(|(_, stored)| !spec.prune || stored.is_none())
-            .filter_map(|(((_, request), resolved), _)| {
-                let resolved = resolved.as_ref().ok()?;
-                Some((resolved, request, self.cache.get_result(&resolved.key)))
-            })
+            .filter_map(|(((_, request), resolved), _)| Some((resolved.as_ref().ok()?, request)))
             .collect();
         stats.evaluated = todo.len();
         stats.pruned = stats.grid - stats.evaluated;
-        let cold = todo.iter().any(|(.., hit)| hit.is_none());
-        let workers = if cold { spec.workers } else { 1 };
-        let mut prepared = fan_out(&todo, workers, |(resolved, request, hit)| match hit {
-            Some(hit) => Ok(Arc::clone(hit)),
-            None => self.generate_resolved(resolved, request),
-        })
-        .into_iter();
+        let mut prepared = self.prepare_all(&todo, spec.workers).into_iter();
 
         // Record: assemble the report in grid order (the explorer sorts
         // points canonically, so stored and evaluated points mix

@@ -28,8 +28,9 @@
 //! Generation is memoized by the three-layer, content-addressed
 //! [`cache`] (canonical [`RequestKey`]s → expanded modules → synthesized
 //! netlists → complete payloads), so repeat requests are ~free;
-//! [`Icdb::request_components_batch`] fans cold requests out across scoped
-//! threads sharing that cache, and [`Icdb::cache_stats`] / the
+//! [`Icdb::request_components_batch`] and [`Icdb::explore`] generate cold
+//! requests on scoped threads sharing that cache, building each distinct
+//! netlist once before any request is sized, and [`Icdb::cache_stats`] / the
 //! `cache_query` CQL command / the relational `cache_stats` table expose
 //! its hit/miss/eviction counters.
 //!

@@ -3,8 +3,8 @@
 //! layout generator) plus instance storage and queries.
 //!
 //! Every component request runs two steps. The **pre-warm**
-//! (`Icdb::prewarm`) prepares each non-cluster request through `&self`
-//! ([`Icdb::prepare_payload`] → [`GenerationPayload`], memoized by the
+//! (`Icdb::prewarm`) prepares the non-cluster requests of a batch through
+//! `&self` (`Icdb::prepare_all` → [`GenerationPayload`], memoized by the
 //! [`crate::cache::GenCache`]); the concurrent
 //! [`crate::service::IcdbService`] runs it on its lock-free epoch
 //! snapshot. The **install loop** (`Icdb::install_all`) then journals and
@@ -14,12 +14,20 @@
 //! regenerates at the event's journal position, so a failing request is
 //! journaled like any other failed mutation, on every path.
 //!
+//! `Icdb::prepare_all` is the one generation path for library and
+//! inline-IIF requests: a pre-warm, a sweep's evaluated points and an
+//! install's fallback are each one batch. It looks every point up in the
+//! result layer once, groups the misses by netlist key, and runs two
+//! phases: each distinct netlist is expanded, synthesized and rendered
+//! once (the views that do not depend on sizing), then each point is
+//! sized, estimated and given its delay and shape views.
+//!
 //! Every instance-touching method exists in two forms: the classic
 //! single-caller form (`instance`, `delay_string`, …) operating on
 //! [`NsId::ROOT`], and an `_in` form addressing an explicit session
 //! namespace.
 
-use crate::cache::{GenerationPayload, NetKey, RequestKey, SourceKey};
+use crate::cache::{FlatEntry, GenerationPayload, NetEntry, NetKey, RequestKey, SourceKey};
 use crate::error::IcdbError;
 use crate::events::{Durability, MutationEvent};
 use crate::instance::ComponentInstance;
@@ -33,6 +41,7 @@ use icdb_logic::{synthesize, Gate, GateNetlist, SynthOptions};
 use icdb_sizing::{size_netlist, SizingGoal, Strategy};
 use icdb_store::Value;
 use icdb_vhdl::{emit_entity, emit_netlist, parse_netlist, vhdl_id};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -149,14 +158,16 @@ impl Icdb {
             .remove(0))
     }
 
-    /// Generates many components in one call, fanning the *cold* pipeline
-    /// work out across up to `workers` scoped threads that share the
-    /// generation cache; instances are then installed sequentially in
-    /// request order, so auto-generated names are deterministic.
+    /// Generates many components in one call, running the *cold* pipeline
+    /// work on up to `workers` scoped threads that share the generation
+    /// cache (each distinct netlist among the misses is built once, then
+    /// each request is sized; see `Icdb::prepare_all`); instances are then
+    /// installed sequentially in request order, so auto-generated names are
+    /// deterministic.
     ///
-    /// `workers` is clamped to `1..=requests.len()`: a `workers` of 0 runs
-    /// sequentially instead of spawning a zero-worker scope that could
-    /// never fill the result slots.
+    /// `workers` is clamped, in each phase, to `1..=` the number of items
+    /// that phase generates: a `workers` of 0 runs sequentially instead of
+    /// spawning a zero-worker scope that could never fill the result slots.
     ///
     /// VHDL-cluster requests skip the parallel pre-warm: they flatten live
     /// instances, so they generate at install time in request order — a
@@ -189,14 +200,30 @@ impl Icdb {
         self.install_all(ns, requests, hints)
     }
 
-    /// The first step of every component request: prepares each request
-    /// across up to `workers` scoped threads sharing the cache (see
-    /// [`fan_out`]). A VHDL cluster or a failing request gets no hint.
+    /// The first step of every component request: resolves each request
+    /// and prepares the resolved ones as one batch
+    /// ([`Icdb::prepare_all`]) on up to `workers` scoped threads sharing
+    /// the cache. A VHDL cluster (which does not resolve) or a failing
+    /// request gets no hint.
     pub(crate) fn prewarm(&self, requests: &[ComponentRequest], workers: usize) -> Hints {
-        fan_out(requests, workers, |request| match request.source {
-            Source::VhdlNetlist(_) => None,
-            _ => self.prepare_payload(NsId::ROOT, request).ok(),
-        })
+        let resolved: Vec<Option<Resolved>> =
+            requests.iter().map(|r| self.resolve(r).ok()).collect();
+        let points: Vec<_> = resolved
+            .iter()
+            .zip(requests)
+            .filter_map(|(resolved, request)| Some((resolved.as_ref()?, request)))
+            .collect();
+        let mut prepared = self.prepare_all(&points, workers).into_iter();
+        resolved
+            .iter()
+            .map(|resolved| {
+                resolved.as_ref()?;
+                prepared
+                    .next()
+                    .expect("every resolved request was prepared")
+                    .ok()
+            })
+            .collect()
     }
 
     /// The second step: journals and applies one
@@ -225,10 +252,10 @@ impl Icdb {
             .collect()
     }
 
-    /// The read-only half of generation: resolves the request, consults the
-    /// cache layer by layer, and runs only the stages that miss. Safe to
-    /// call concurrently from scoped threads sharing `&self`. VHDL clusters
-    /// flatten the instances of `ns` and are never cached.
+    /// The read-only half of generation for one request, the install's
+    /// fallback when it has no hint: resolves the request and prepares it
+    /// as a batch of one ([`Icdb::prepare_all`]). VHDL clusters flatten
+    /// the instances of `ns` and are never cached.
     ///
     /// # Errors
     /// Propagates resolution, expansion, synthesis and estimation failures.
@@ -241,7 +268,7 @@ impl Icdb {
                 Ok(Arc::new(GenerationPayload {
                     implementation: "cluster".to_string(),
                     ..self.finish_payload(
-                        netlist,
+                        &NetEntry::new(netlist, &self.cells),
                         None,
                         request.constraints.load_spec(),
                         &request.sizing_strategy(),
@@ -251,10 +278,7 @@ impl Icdb {
             }
             _ => {
                 let resolved = self.resolve(request)?;
-                match self.cache.get_result(&resolved.key) {
-                    Some(hit) => Ok(hit),
-                    None => self.generate_resolved(&resolved, request),
-                }
+                self.prepare_all(&[(&resolved, request)], 1).remove(0)
             }
         }
     }
@@ -337,81 +361,144 @@ impl Icdb {
         Ok(resolved(Origin::Library(imp), params, source))
     }
 
-    /// Runs the pipeline for a resolved request that the result layer (the
-    /// generation cache's payload LRU) missed, and fills the layer.
+    /// Prepares a batch of resolved requests on up to `workers` scoped
+    /// threads sharing the cache, and returns their payloads in order.
+    ///
+    /// Each point is looked up once in the result layer. Before any thread
+    /// starts, the misses are grouped by netlist key in first-occurrence
+    /// order; they then run in two phases:
+    ///
+    /// 1. once per distinct key, in parallel across keys: the flat and
+    ///    netlist layers, expanding, synthesizing and rendering the views
+    ///    that do not depend on sizing where they miss;
+    /// 2. once per point, in parallel across points: sizing, estimation
+    ///    and the delay and shape views on a copy of the phase-1 netlist
+    ///    ([`Icdb::finish_payload`]); the payload fills the result layer.
+    ///
+    /// Phase 2 takes the entries phase 1 returned and never looks those
+    /// layers up again, so an eviction in between redoes no work. A key
+    /// whose phase 1 fails fails each of its points with that error. A
+    /// batch of one runs inline.
+    pub(crate) fn prepare_all(
+        &self,
+        points: &[(&Resolved<'_>, &ComponentRequest)],
+        workers: usize,
+    ) -> Vec<PreparedPayload> {
+        let hits: Vec<_> = points
+            .iter()
+            .map(|(resolved, _)| self.cache.get_result(&resolved.key))
+            .collect();
+        let options = SynthOptions::default();
+        let mut builds: Vec<(NetKey, &Resolved)> = Vec::new();
+        let mut build_of: HashMap<NetKey, usize> = HashMap::new();
+        let mut misses: Vec<(usize, usize)> = Vec::new();
+        for (point, ((resolved, _), hit)) in points.iter().zip(&hits).enumerate() {
+            if hit.is_none() {
+                let key = resolved.key.net_key(&options);
+                let build = *build_of.entry(key.clone()).or_insert_with(|| {
+                    builds.push((key, resolved));
+                    builds.len() - 1
+                });
+                misses.push((point, build));
+            }
+        }
+        let built = fan_out(&builds, workers, |(key, resolved)| {
+            self.build_netlist(key, resolved, &options)
+        });
+        let mut finished = fan_out(&misses, workers, |&(point, build)| {
+            let (resolved, request) = points[point];
+            let (flat, net) = built[build].as_ref().map_err(IcdbError::clone)?;
+            let (implementation, functions, connection) = match &resolved.origin {
+                Origin::Library(imp) => (
+                    imp.name.clone(),
+                    imp.functions.clone(),
+                    imp.connection.clone(),
+                ),
+                Origin::Iif(module) => (
+                    "iif".to_string(),
+                    module.functions.clone(),
+                    Default::default(),
+                ),
+            };
+            let payload = Arc::new(GenerationPayload {
+                implementation,
+                functions,
+                params: resolved.params.clone(),
+                connection,
+                ..self.finish_payload(
+                    net,
+                    Some(flat),
+                    request.constraints.load_spec(),
+                    &request.sizing_strategy(),
+                    request.constraints.set_up_time,
+                )?
+            });
+            self.cache.put_result(resolved.key.clone(), payload.clone());
+            Ok(payload)
+        })
+        .into_iter();
+        hits.into_iter()
+            .map(|hit| hit.map_or_else(|| finished.next().expect("every miss was finished"), Ok))
+            .collect()
+    }
+
+    /// Phase 1 of [`Icdb::prepare_all`] for one netlist key: looks the flat
+    /// and netlist layers up once each, and expands or synthesizes (with
+    /// their views) and stores what they miss.
     ///
     /// # Errors
-    /// Propagates expansion, synthesis and estimation failures.
-    pub(crate) fn generate_resolved(
+    /// Propagates expansion and synthesis failures.
+    fn build_netlist(
         &self,
+        key: &NetKey,
         resolved: &Resolved<'_>,
-        request: &ComponentRequest,
-    ) -> PreparedPayload {
-        let (params, key) = (&resolved.params, &resolved.key);
-        let (module, implementation, functions, connection) = match &resolved.origin {
-            Origin::Library(imp) => (
-                &imp.module,
-                imp.name.clone(),
-                imp.functions.clone(),
-                imp.connection.clone(),
-            ),
-            Origin::Iif(module) => (
-                &**module,
-                "iif".to_string(),
-                module.functions.clone(),
-                Default::default(),
-            ),
-        };
-        let flat_key = key.flat_key();
-        let flat = match self.cache.get_flat(&flat_key) {
+        options: &SynthOptions,
+    ) -> Result<(Arc<FlatEntry>, Arc<NetEntry>), IcdbError> {
+        let flat = match self.cache.get_flat(key.flat()) {
             Some(flat) => flat,
             None => {
-                let pairs: Vec<(&str, i64)> =
-                    params.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-                let flat = Arc::new(icdb_iif::expand(module, &pairs, &self.library)?);
-                self.cache.put_flat(flat_key.clone(), flat.clone());
+                let module = match &resolved.origin {
+                    Origin::Library(imp) => &imp.module,
+                    Origin::Iif(module) => &**module,
+                };
+                let pairs: Vec<(&str, i64)> = resolved
+                    .params
+                    .iter()
+                    .map(|(n, v)| (n.as_str(), *v))
+                    .collect();
+                let module = icdb_iif::expand(module, &pairs, &self.library)?;
+                let flat = Arc::new(FlatEntry::new(module));
+                self.cache.put_flat(key.flat().clone(), flat.clone());
                 flat
             }
         };
-        let options = SynthOptions::default();
-        let net_key = NetKey::new(flat_key, &options, self.cells.version());
-        let mapped = match self.cache.get_netlist(&net_key) {
-            Some(netlist) => netlist,
+        let net = match self.cache.get_netlist(key) {
+            Some(net) => net,
             None => {
-                let netlist = Arc::new(synthesize(&flat, &self.cells, &options)?);
-                self.cache.put_netlist(net_key, netlist.clone());
-                netlist
+                let netlist = synthesize(&flat.module, &self.cells, options)?;
+                let net = Arc::new(NetEntry::new(netlist, &self.cells));
+                self.cache.put_netlist(key.clone(), net.clone());
+                net
             }
         };
-        let views = (flat.to_string(), flat.to_milo_format());
-        let payload = Arc::new(GenerationPayload {
-            implementation,
-            functions,
-            params: params.clone(),
-            connection,
-            ..self.finish_payload(
-                (*mapped).clone(),
-                Some(views),
-                request.constraints.load_spec(),
-                &request.sizing_strategy(),
-                request.constraints.set_up_time,
-            )?
-        });
-        self.cache.put_result(key.clone(), payload.clone());
-        Ok(payload)
+        Ok((flat, net))
     }
 
-    /// The pipeline tail: transistor sizing, the set-up bound check, shape
-    /// and power estimation, and rendering of every design-data view the
-    /// store will hold. The caller fills in the payload's identity.
+    /// The pipeline tail: transistor sizing of a copy of `net`'s netlist,
+    /// the set-up bound check, shape and power estimation, and the delay
+    /// and shape views. The other views come pre-rendered: the VHDL views
+    /// with `net` (sizing changes only gate sizes, which they do not
+    /// print), and the expanded-IIF and MILO views with `flat`, where the
+    /// payload has a module. The caller fills in the payload's identity.
     fn finish_payload(
         &self,
-        mut netlist: GateNetlist,
-        flat_views: Option<(String, String)>,
+        net: &NetEntry,
+        flat: Option<&FlatEntry>,
         loads: LoadSpec,
         strategy: &Strategy,
         set_up_time: Option<f64>,
     ) -> Result<GenerationPayload, IcdbError> {
+        let mut netlist = net.netlist.clone();
         let sizing = size_netlist(&mut netlist, &self.cells, &loads, strategy);
         let mut met = sizing.met;
         if let Some(bound) = set_up_time {
@@ -432,12 +519,6 @@ impl Icdb {
             &icdb_estimate::PowerSpec::default(),
         )?
         .total_uw;
-        let (flat_iif, milo) = match flat_views {
-            Some((iif, milo)) => (Some(Arc::from(iif)), Some(Arc::from(milo))),
-            None => (None, None),
-        };
-        let vhdl: Arc<str> = emit_netlist(&netlist, &self.cells).into();
-        let vhdl_head: Arc<str> = emit_entity(&netlist).into();
         let delay_text: Arc<str> = sizing.report.to_string().into();
         let shape_text: Arc<str> = shape.to_alternative_format().into();
         Ok(GenerationPayload {
@@ -451,10 +532,10 @@ impl Icdb {
             power_uw,
             met,
             connection: Default::default(),
-            flat_iif,
-            milo,
-            vhdl,
-            vhdl_head,
+            flat_iif: flat.map(|f| Arc::clone(&f.iif)),
+            milo: flat.map(|f| Arc::clone(&f.milo)),
+            vhdl: Arc::clone(&net.vhdl),
+            vhdl_head: Arc::clone(&net.vhdl_head),
             delay_text,
             shape_text,
             lib_version: self.library.version(),
@@ -743,9 +824,10 @@ impl Icdb {
     ) -> Result<(), IcdbError> {
         let inst = self.instance_in(ns, instance)?;
         let strategy = Strategy::Constraints(SizingGoal::clock(clock_width));
+        let net = NetEntry::new(inst.netlist.clone(), &self.cells);
         let resized = GenerationPayload {
             implementation: inst.implementation.clone(),
-            ..self.finish_payload(inst.netlist.clone(), None, loads.clone(), &strategy, None)?
+            ..self.finish_payload(&net, None, loads.clone(), &strategy, None)?
         };
         self.delete_catalog_row(ns, instance);
         self.persist_payload(ns, instance, &resized)?;

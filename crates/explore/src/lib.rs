@@ -11,8 +11,9 @@
 //!
 //! The layer is deliberately pure (no dependency on the component server):
 //! `icdb-core` drives the sweep itself — resolving candidate
-//! implementations from the knowledge base and fanning `prepare_payload`
-//! evaluations across scoped worker threads through the generation cache —
+//! implementations from the knowledge base and evaluating the points on
+//! scoped worker threads through the generation cache, each distinct
+//! netlist once and then each point's sizing —
 //! and feeds each evaluated candidate into an [`Explorer`], which returns
 //! the finished [`ExplorationReport`].
 //!

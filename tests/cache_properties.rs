@@ -189,6 +189,63 @@ fn batch_shares_cache_across_workers() {
     assert_eq!(stats.result.hits, 3, "{stats:?}");
 }
 
+/// A payload shares its VHDL views with its netlist-layer entry, which
+/// holds them as rendered from the unsized netlist. That is sound for
+/// constraint sizing too: a `clock_width:`/`oload:` request that hits the
+/// netlist layer after a `cheapest` request of the same width stores and
+/// answers the VHDL that a fresh server generating it cold does, and that
+/// its own sized netlist renders.
+#[test]
+fn shared_vhdl_views_hold_under_constraint_sizing() {
+    let views = |icdb: &Icdb, name: &str| {
+        let stored = |suffix: &str| {
+            icdb.files
+                .read(&format!("instances/{name}.{suffix}"))
+                .unwrap()
+                .to_string()
+        };
+        [
+            stored("vhdl"),
+            stored("vhdl_head"),
+            icdb.vhdl_netlist(name).unwrap(),
+            icdb.vhdl_head(name).unwrap(),
+        ]
+    };
+    for (imp, size) in [
+        ("COUNTER", "5"),
+        ("SHIFT_REGISTER", "6"),
+        ("RIPPLE_COUNTER", "6"),
+    ] {
+        let cheapest = ComponentRequest::by_implementation(imp).attribute("size", size);
+        let mut warm = Icdb::new();
+        let plain = warm.request_component(&cheapest).unwrap();
+        let inst = warm.instance(&plain).unwrap();
+        let port = inst.netlist.net_name(inst.netlist.outputs[0]).to_string();
+        let mut constrained = cheapest.clone().clock_width(0.8 * inst.report.clock_width);
+        constrained.constraints.oload.push((port, 40.0));
+        let before = warm.cache_stats().netlist;
+        let name = warm.request_component(&constrained).unwrap();
+        let after = warm.cache_stats().netlist;
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (1, 0),
+            "{imp}: the constrained request reuses the netlist"
+        );
+        let sized = |name: &str| -> Vec<f64> {
+            let gates = &warm.instance(name).unwrap().netlist.gates;
+            gates.iter().map(|g| g.size).collect()
+        };
+        assert_ne!(sized(&plain), sized(&name), "{imp}: the constraint resizes");
+
+        let mut cold = Icdb::new();
+        let fresh = cold.request_component(&constrained).unwrap();
+        let shared = views(&warm, &name);
+        assert_eq!(shared, views(&cold, &fresh), "{imp}");
+        assert_eq!(shared[0], shared[2], "{imp}: stored vhdl = VHDL_net_list");
+        assert_eq!(shared[1], shared[3], "{imp}: stored vhdl_head = VHDL_head");
+    }
+}
+
 /// The `cache_query` CQL command surfaces the counters.
 #[test]
 fn cache_query_through_cql() {

@@ -293,6 +293,62 @@ fn warm_re_exploration_hits_the_generation_cache() {
     assert_eq!(cold.to_table(), warm.to_table());
 }
 
+/// A cold sweep builds each distinct netlist once, at any worker count:
+/// the `cheapest` and `fastest` points of one width share their flat and
+/// netlist entries, and each entry is built before any point is sized.
+/// So the flat and netlist layers miss once per distinct (implementation,
+/// width) pair and the result layer once per grid point. A batch of one
+/// key under both strategies synthesizes once too.
+#[test]
+fn sweeps_and_batches_build_each_distinct_netlist_once() {
+    let sweep = |widths: [i64; 3], workers| {
+        ExploreSpec::by_component("counter")
+            .widths(widths)
+            .strategies(["cheapest", "fastest"])
+            .workers(workers)
+    };
+    let mut reports = Vec::new();
+    for workers in [1, 2, 8] {
+        let icdb = Icdb::new();
+        let counters = icdb.library.by_component_type("counter").len() as u64;
+        reports.push(icdb.explore(&sweep([3, 4, 5], workers)).unwrap());
+        let cold = icdb.cache_stats();
+        let distinct = 3 * counters;
+        assert_eq!(
+            (cold.flat.misses, cold.netlist.misses, cold.result.misses),
+            (distinct, distinct, 2 * distinct),
+            "workers={workers}: {cold:?}"
+        );
+        assert_eq!(cold.flat.lookups() + cold.netlist.lookups(), 2 * distinct);
+
+        icdb.explore(&sweep([4, 5, 6], workers)).unwrap();
+        let next = icdb.cache_stats();
+        assert_eq!(
+            (
+                next.flat.misses - cold.flat.misses,
+                next.netlist.misses - cold.netlist.misses
+            ),
+            (counters, counters),
+            "workers={workers}: only width 6 is new: {next:?}"
+        );
+    }
+    assert!(reports.windows(2).all(|w| w[0] == w[1]));
+
+    let mut icdb = Icdb::new();
+    let request = ComponentRequest::by_implementation("COUNTER").attribute("size", "5");
+    let twins = [
+        request.clone().strategy("cheapest"),
+        request.strategy("fastest"),
+    ];
+    icdb.request_components_batch(&twins, 2).unwrap();
+    let stats = icdb.cache_stats();
+    assert_eq!(
+        (stats.flat.misses, stats.netlist.misses, stats.result.misses),
+        (1, 1, 2),
+        "{stats:?}"
+    );
+}
+
 /// An exploration sweep shares cache entries with plain component
 /// requests: generating a swept configuration first makes the sweep's
 /// evaluation of it warm, and vice versa.
