@@ -3,9 +3,9 @@
 //! * `sweep` — a warm design-space sweep (every grid point already in the
 //!   generation cache) must be ≥10× faster than a cold one: exploration
 //!   amortizes through the same cache that serves plain component requests.
-//!   Each cold run also asserts that it missed the flat and netlist layers
-//!   exactly once per distinct netlist (implementation × width, shared by
-//!   both strategies), at this machine's core count of workers;
+//!   Each cold run also asserts that it looked the netlist layer up, and
+//!   missed it, exactly once per distinct netlist (implementation × width,
+//!   shared by both strategies), at this machine's core count of workers;
 //! * `sizing` — TILOS sizing re-times one gate per trial move on a
 //!   `TimingGraph`. Its speedup is the reference loop's time (a full STA
 //!   per trial, `icdb_bench::reference`) over `size_netlist`'s, both
@@ -212,7 +212,7 @@ fn measure_summary() -> String {
                 let after = icdb.cache_stats();
                 assert_eq!(
                     (
-                        after.flat.misses - before.flat.misses,
+                        after.netlist.lookups() - before.netlist.lookups(),
                         after.netlist.misses - before.netlist.misses
                     ),
                     (netlists, netlists),

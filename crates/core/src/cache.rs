@@ -6,22 +6,21 @@
 //! This module supplies the missing half of that claim: every request is
 //! canonicalized into a [`RequestKey`] (resolved implementation, sorted
 //! bound parameters, constraints, resolved sizing strategy, knowledge-base
-//! and cell-library versions) and each pipeline stage is memoized behind
-//! it in a bounded LRU layer:
+//! and cell-library versions) and the pipeline is memoized behind it in
+//! two bounded LRU layers:
 //!
-//! 1. **flat layer** — expanded [`FlatModule`]s keyed by
-//!    (module source, sorted parameters, library version), each with its
-//!    expanded-IIF and MILO views;
-//! 2. **netlist layer** — synthesized, unsized [`GateNetlist`]s keyed by
-//!    (flat key, synthesis-option fingerprint), each with its VHDL and
-//!    VHDL-head views;
-//! 3. **result layer** — the complete sized/estimated
+//! 1. **netlist layer** — synthesized, unsized [`GateNetlist`]s keyed by a
+//!    [`NetKey`]: the request key without its sizing fields (module
+//!    source, sorted parameters, library and cell-library versions). Each
+//!    entry holds the four views that do not depend on sizing: expanded
+//!    IIF, MILO, VHDL and VHDL head. The expanded [`FlatModule`] is
+//!    rendered into the first two and then dropped; no entry holds one.
+//! 2. **result layer** — the complete sized/estimated
 //!    [`GenerationPayload`] keyed by the full [`RequestKey`].
 //!
-//! The views held by the first two layers do not depend on sizing: the
-//! IIF and MILO texts render from the flat module alone, and sizing
-//! changes only each gate's drive strength, which neither VHDL view
-//! prints. So every payload built on one module shares those four
+//! The IIF and MILO texts render from the expanded module alone, and
+//! sizing changes only each gate's drive strength, which neither VHDL view
+//! prints. So every payload built on one netlist shares those four
 //! `Arc<str>`s, whatever its strategy or constraints, and only the delay
 //! and shape views render per payload.
 //!
@@ -32,23 +31,22 @@
 //! and `implementation:COUNTER` with the same attributes resolve to the
 //! same key.
 //!
-//! All three layers sit behind mutexes so a batch or a sweep
+//! Both layers sit behind mutexes so a batch or a sweep
 //! ([`crate::Icdb::request_components_batch`], [`crate::Icdb::explore`])
 //! can generate its cold points on `std::thread::scope` workers sharing
 //! one cache. Such a batch looks each point up in the result layer once,
-//! then looks each distinct netlist key of its misses up in the flat and
-//! netlist layers once, so a netlist shared by several points is built
-//! once. Statistics
-//! (hits, misses, evictions, entries, capacity) are kept per layer and
-//! surfaced through [`crate::Icdb::cache_stats`], the `cache_query` CQL
-//! command, and the relational `cache_stats` table.
+//! then looks each distinct netlist key of its misses up in the netlist
+//! layer once, so a netlist shared by several points is built once.
+//! Statistics (hits, misses, evictions, entries, capacity) are kept per
+//! layer and surfaced through [`crate::Icdb::cache_stats`], the
+//! `cache_query` CQL command, and the relational `cache_stats` table.
 
 use crate::spec::ComponentRequest;
 use icdb_cells::Library;
 use icdb_estimate::{DelayReport, LoadSpec, ShapeFunction};
 use icdb_genus::ConnectionTable;
 use icdb_iif::FlatModule;
-use icdb_logic::{GateNetlist, MapObjective, SynthOptions};
+use icdb_logic::GateNetlist;
 use icdb_vhdl::{emit_entity, emit_netlist};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -117,36 +115,17 @@ impl GenerationPayload {
     }
 }
 
-/// A flat-layer entry: an expanded module with the two views rendered
-/// from it alone.
-#[derive(Debug)]
-pub(crate) struct FlatEntry {
-    /// The expanded module synthesis runs on.
-    pub(crate) module: FlatModule,
-    /// Expanded-IIF view.
-    pub(crate) iif: Arc<str>,
-    /// MILO-format view.
-    pub(crate) milo: Arc<str>,
-}
-
-impl FlatEntry {
-    /// Renders the module's views.
-    pub(crate) fn new(module: FlatModule) -> FlatEntry {
-        FlatEntry {
-            iif: module.to_string().into(),
-            milo: module.to_milo_format().into(),
-            module,
-        }
-    }
-}
-
-/// A netlist-layer entry: an unsized netlist with the two VHDL views,
-/// which every sizing of it shares (sizing changes only `Gate::size`,
-/// which neither view prints).
+/// A netlist-layer entry: an unsized netlist with the four views every
+/// sizing of it shares (sizing changes only `Gate::size`, which neither
+/// VHDL view prints).
 #[derive(Debug)]
 pub(crate) struct NetEntry {
     /// The technology-mapped, unsized netlist.
     pub(crate) netlist: GateNetlist,
+    /// Expanded-IIF view (absent without a module: clusters, resizes).
+    pub(crate) iif: Option<Arc<str>>,
+    /// MILO-format view (absent without a module).
+    pub(crate) milo: Option<Arc<str>>,
     /// Structural-VHDL view.
     pub(crate) vhdl: Arc<str>,
     /// VHDL entity head.
@@ -154,9 +133,16 @@ pub(crate) struct NetEntry {
 }
 
 impl NetEntry {
-    /// Renders the netlist's views against the cells it was mapped to.
-    pub(crate) fn new(netlist: GateNetlist, cells: &Library) -> NetEntry {
+    /// Renders the netlist's views against the cells it was mapped to, and
+    /// the views of the expanded `module` it was synthesized from, if any.
+    pub(crate) fn new(
+        module: Option<&FlatModule>,
+        netlist: GateNetlist,
+        cells: &Library,
+    ) -> NetEntry {
         NetEntry {
+            iif: module.map(|m| m.to_string().into()),
+            milo: module.map(|m| m.to_milo_format().into()),
             vhdl: emit_netlist(&netlist, cells).into(),
             vhdl_head: emit_entity(&netlist).into(),
             netlist,
@@ -192,49 +178,15 @@ pub enum SourceKey {
     Iif(String),
 }
 
-/// Key of the flat-module layer: module source + sorted parameter binding
-/// (part of a [`NetKey`], built from a [`RequestKey`]).
+/// Key of the netlist layer: a [`RequestKey`] without its sizing fields
+/// (module source, sorted parameter binding, and the knowledge-base and
+/// cell-library versions the module was expanded and mapped against).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FlatKey {
+pub struct NetKey {
     source: SourceKey,
     params: Vec<(String, i64)>,
     library_version: u64,
-}
-
-/// Fingerprint of the [`SynthOptions`] that shaped a cached netlist.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SynthKey {
-    eliminate: bool,
-    max_support: usize,
-    max_cubes: usize,
-    delay_objective: bool,
-}
-
-impl From<&SynthOptions> for SynthKey {
-    fn from(o: &SynthOptions) -> SynthKey {
-        SynthKey {
-            eliminate: o.eliminate,
-            max_support: o.eliminate_max_support,
-            max_cubes: o.eliminate_max_cubes,
-            delay_objective: matches!(o.objective, MapObjective::Delay),
-        }
-    }
-}
-
-/// Key of the netlist layer: expanded module + synthesis options + the
-/// cell library the mapping was made against.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct NetKey {
-    flat: FlatKey,
-    synth: SynthKey,
     cells_version: u64,
-}
-
-impl NetKey {
-    /// The flat-layer key of the netlist's module.
-    pub(crate) fn flat(&self) -> &FlatKey {
-        &self.flat
-    }
 }
 
 /// The canonical identity of a full component request: resolved source,
@@ -303,17 +255,13 @@ impl RequestKey {
         }
     }
 
-    /// The netlist-layer key of this request's module synthesized under
-    /// `options` against the request's cell library: equal for every
-    /// strategy and constraint.
-    pub(crate) fn net_key(&self, options: &SynthOptions) -> NetKey {
+    /// The netlist-layer key of this request: equal for every strategy
+    /// and constraint.
+    pub(crate) fn net_key(&self) -> NetKey {
         NetKey {
-            flat: FlatKey {
-                source: self.source.clone(),
-                params: self.params.clone(),
-                library_version: self.library_version,
-            },
-            synth: SynthKey::from(options),
+            source: self.source.clone(),
+            params: self.params.clone(),
+            library_version: self.library_version,
             cells_version: self.cells_version,
         }
     }
@@ -351,11 +299,9 @@ impl LayerStats {
     }
 }
 
-/// Aggregate statistics over the three layers.
+/// Aggregate statistics over the two layers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Expanded-module layer.
-    pub flat: LayerStats,
     /// Synthesized-netlist layer.
     pub netlist: LayerStats,
     /// Full-request payload layer.
@@ -365,17 +311,17 @@ pub struct CacheStats {
 impl CacheStats {
     /// Hits summed over all layers.
     pub fn hits(&self) -> u64 {
-        self.flat.hits + self.netlist.hits + self.result.hits
+        self.netlist.hits + self.result.hits
     }
 
     /// Misses summed over all layers.
     pub fn misses(&self) -> u64 {
-        self.flat.misses + self.netlist.misses + self.result.misses
+        self.netlist.misses + self.result.misses
     }
 
     /// Evictions summed over all layers.
     pub fn evictions(&self) -> u64 {
-        self.flat.evictions + self.netlist.evictions + self.result.evictions
+        self.netlist.evictions + self.result.evictions
     }
 }
 
@@ -478,12 +424,11 @@ impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
 
 // ------------------------------------------------------------------ cache
 
-/// The thread-safe, three-layer generation cache owned by an
+/// The thread-safe, two-layer generation cache owned by an
 /// [`crate::Icdb`]. Every layer is an independently bounded LRU behind its
 /// own mutex, so concurrent batch workers contend per layer, not globally.
 #[derive(Debug)]
 pub struct GenCache {
-    flats: Mutex<LruMap<FlatKey, Arc<FlatEntry>>>,
     netlists: Mutex<LruMap<NetKey, Arc<NetEntry>>>,
     results: Mutex<LruMap<RequestKey, Arc<GenerationPayload>>>,
 }
@@ -502,23 +447,12 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl GenCache {
-    /// A cache whose three layers each hold up to `capacity` entries.
+    /// A cache whose two layers each hold up to `capacity` entries.
     pub fn with_capacity(capacity: usize) -> GenCache {
         GenCache {
-            flats: Mutex::new(LruMap::new(capacity)),
             netlists: Mutex::new(LruMap::new(capacity)),
             results: Mutex::new(LruMap::new(capacity)),
         }
-    }
-
-    /// Looks up an expanded module with its views.
-    pub(crate) fn get_flat(&self, key: &FlatKey) -> Option<Arc<FlatEntry>> {
-        lock(&self.flats).get(key)
-    }
-
-    /// Stores an expanded module with its views.
-    pub(crate) fn put_flat(&self, key: FlatKey, value: Arc<FlatEntry>) {
-        lock(&self.flats).insert(key, value);
     }
 
     /// Looks up a synthesized (unsized) netlist with its views.
@@ -544,7 +478,6 @@ impl GenCache {
     /// A snapshot of all layer statistics.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            flat: lock(&self.flats).stats(),
             netlist: lock(&self.netlists).stats(),
             result: lock(&self.results).stats(),
         }
@@ -552,14 +485,12 @@ impl GenCache {
 
     /// Drops every entry (statistics are kept).
     pub fn clear(&self) {
-        lock(&self.flats).map.clear();
         lock(&self.netlists).map.clear();
         lock(&self.results).map.clear();
     }
 
     /// Rebounds every layer to `capacity`, evicting LRU-first if shrinking.
     pub fn set_capacity(&self, capacity: usize) {
-        lock(&self.flats).set_capacity(capacity);
         lock(&self.netlists).set_capacity(capacity);
         lock(&self.results).set_capacity(capacity);
     }
@@ -614,8 +545,7 @@ mod tests {
         let k1 = RequestKey::new(SourceKey::Implementation("COUNTER".into()), &p1, &req, 0, 0);
         let k2 = RequestKey::new(SourceKey::Implementation("COUNTER".into()), &p2, &req, 0, 0);
         assert_eq!(k1, k2);
-        let options = SynthOptions::default();
-        assert_eq!(k1.net_key(&options), k2.net_key(&options));
+        assert_eq!(k1.net_key(), k2.net_key());
     }
 
     #[test]

@@ -516,19 +516,18 @@ impl Icdb {
     }
 
     /// `cache_query`: generation-cache statistics (hits, misses, evictions,
-    /// entries, capacity — summed over the flat/netlist/result layers, or
-    /// per layer via `layer:<name>`). Read-only: the relational
-    /// `cache_stats` table is refreshed by [`Icdb::publish_cache_stats`]
-    /// alone.
+    /// entries, capacity — summed over the netlist and result layers, or
+    /// per layer via `layer:netlist` or `layer:result`). Read-only: the
+    /// relational `cache_stats` table is refreshed by
+    /// [`Icdb::publish_cache_stats`] alone.
     fn exec_cache_query(&self, cmd: &Command) -> Result<Response, IcdbError> {
         let stats = self.cache_stats();
         let layer = match cmd.str_term("layer") {
-            Some("flat") => Some(stats.flat),
             Some("netlist") => Some(stats.netlist),
             Some("result") => Some(stats.result),
             Some(other) => {
                 return Err(IcdbError::Cql(format!(
-                    "cache_query knows layers flat/netlist/result, not `{other}`"
+                    "cache_query knows layers netlist/result, not `{other}`"
                 )))
             }
             None => None,
@@ -536,13 +535,13 @@ impl Icdb {
         let (hits, misses, evictions, entries, capacity) = match layer {
             Some(s) => (s.hits, s.misses, s.evictions, s.entries, s.capacity),
             // Aggregate view: entries and capacity are both summed over the
-            // three layers, so `entries <= capacity` holds here too.
+            // two layers, so `entries <= capacity` holds here too.
             None => (
                 stats.hits(),
                 stats.misses(),
                 stats.evictions(),
-                stats.flat.entries + stats.netlist.entries + stats.result.entries,
-                stats.flat.capacity + stats.netlist.capacity + stats.result.capacity,
+                stats.netlist.entries + stats.result.entries,
+                stats.netlist.capacity + stats.result.capacity,
             ),
         };
         let mut resp = Response::new();

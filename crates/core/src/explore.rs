@@ -11,8 +11,8 @@
 //! worker threads: each distinct netlist among them (the `cheapest` and
 //! `fastest` points of one width share one) is expanded, synthesized and
 //! rendered once, then each point is sized and estimated. So a cold sweep
-//! misses the flat and netlist layers exactly once per distinct missing
-//! netlist, at any worker count. Estimated `(area, delay, power)` metrics
+//! misses the netlist layer exactly once per distinct missing netlist, at
+//! any worker count. Estimated `(area, delay, power)` metrics
 //! feed an [`icdb_explore::Explorer`], which computes the exact Pareto
 //! front and selects a winner under the sweep's [`Objective`].
 //!
@@ -187,8 +187,8 @@ impl Icdb {
     /// point is resolved once and looked up once in the corpus by its
     /// canonical key; the points the corpus cannot answer (every point
     /// under `prune:0`) are evaluated as one batch through the generation
-    /// cache (one result-layer lookup each, then one flat and one netlist
-    /// lookup per distinct netlist among the misses); fresh evaluations are
+    /// cache (one result-layer lookup each, then one netlist-layer lookup
+    /// per distinct netlist among the misses); fresh evaluations are
     /// queued for the next journaled flush ([`Icdb::flush_corpus`]).
     ///
     /// The report equals an unpruned sweep's (see [`ExploreSpec::prune`]).

@@ -25,9 +25,10 @@
 //! library specs, inline IIF or VHDL clusters, and component-list
 //! management) are implemented.
 //!
-//! Generation is memoized by the three-layer, content-addressed
-//! [`cache`] (canonical [`RequestKey`]s → expanded modules → synthesized
-//! netlists → complete payloads), so repeat requests are ~free;
+//! Generation is memoized by the two-layer, content-addressed [`cache`]
+//! (unsized netlists with the views that do not depend on sizing, and
+//! complete payloads by canonical [`RequestKey`]), so repeat requests are
+//! ~free;
 //! [`Icdb::request_components_batch`] and [`Icdb::explore`] generate cold
 //! requests on scoped threads sharing that cache, building each distinct
 //! netlist once before any request is sized, and [`Icdb::cache_stats`] / the
@@ -297,22 +298,18 @@ impl Icdb {
         };
         let names = &space.instance_order;
         // The namespace is already detached; clean its design data out of
-        // the shared stores directly, its catalog rows in one pass by exact
-        // name (a root instance may itself be named `s<N>:…`).
+        // the shared stores directly, and its catalog rows in one pass.
         for name in names {
             for suffix in crate::server::INSTANCE_VIEW_SUFFIXES {
                 self.files
                     .remove(&space::Namespace::file_path(ns, name, suffix));
             }
         }
-        let rows: std::collections::HashSet<String> = names
-            .iter()
-            .map(|name| space::Namespace::db_name(ns, name))
-            .collect();
-        let _ = self.db.delete_rows(
-            "instances",
-            "name",
-            |v| matches!(v, Value::Text(name) if rows.contains(name)),
+        self.delete_catalog_rows(
+            space
+                .instances
+                .values()
+                .map(|inst| space::Namespace::catalog_row(ns, inst)),
         );
         names.len()
     }
@@ -369,23 +366,19 @@ impl Icdb {
         // The live counters are volatile (a recovered server restarts them
         // cold), so the journal records the computed *rows*: replay
         // restores the table exactly as the last publish left it.
-        let rows = [
-            ("flat", stats.flat),
-            ("netlist", stats.netlist),
-            ("result", stats.result),
-        ]
-        .into_iter()
-        .map(|(layer, s)| {
-            vec![
-                Value::Text(layer.to_string()),
-                Value::Int(s.hits as i64),
-                Value::Int(s.misses as i64),
-                Value::Int(s.evictions as i64),
-                Value::Int(s.entries as i64),
-                Value::Int(s.capacity as i64),
-            ]
-        })
-        .collect();
+        let rows = [("netlist", stats.netlist), ("result", stats.result)]
+            .into_iter()
+            .map(|(layer, s)| {
+                vec![
+                    Value::Text(layer.to_string()),
+                    Value::Int(s.hits as i64),
+                    Value::Int(s.misses as i64),
+                    Value::Int(s.evictions as i64),
+                    Value::Int(s.entries as i64),
+                    Value::Int(s.capacity as i64),
+                ]
+            })
+            .collect();
         self.commit(&MutationEvent::PublishTable {
             table: "cache_stats".to_string(),
             rows,
@@ -434,6 +427,58 @@ mod tests {
         ];
         want.sort_unstable();
         assert_eq!(rows, want);
+    }
+
+    /// A root instance named `s<N>:x` and session N's `x` share one
+    /// catalog name. Resizing either keeps both rows; dropping the session,
+    /// or deleting the root instance, removes exactly the deleted
+    /// instance's row.
+    #[test]
+    fn a_lookalike_root_instance_keeps_its_own_catalog_row() {
+        let named = |implementation: &str, name: &str| {
+            let mut request =
+                ComponentRequest::by_implementation(implementation).attribute("size", "3");
+            request.instance_name = Some(name.into());
+            request
+        };
+        let rows = |icdb: &Icdb| {
+            let mut rows = icdb
+                .db
+                .query("SELECT name, implementation FROM instances")
+                .unwrap();
+            rows.sort_by_key(|row| row[1].to_string());
+            rows
+        };
+        let row = |name: &str, implementation: &str| {
+            vec![Value::Text(name.into()), Value::Text(implementation.into())]
+        };
+
+        let mut icdb = Icdb::new();
+        let a = icdb.create_namespace();
+        let lookalike = format!("s{}:x", a.raw());
+        icdb.request_component(&named("ADDER", &lookalike)).unwrap();
+        icdb.request_component_in(a, &named("COUNTER", "x"))
+            .unwrap();
+        let loads = icdb_estimate::LoadSpec::uniform(60.0);
+        icdb.resize_for_load(&lookalike, &loads, 1.0).unwrap();
+        icdb.resize_for_load_in(a, "x", &loads, 1.0).unwrap();
+        assert_eq!(
+            rows(&icdb),
+            [row(&lookalike, "ADDER"), row(&lookalike, "COUNTER")]
+        );
+        assert_eq!(icdb.drop_namespace(a), 1);
+        assert_eq!(rows(&icdb), [row(&lookalike, "ADDER")]);
+
+        let mut icdb = Icdb::new();
+        let a = icdb.create_namespace();
+        let lookalike = format!("s{}:x", a.raw());
+        icdb.request_component_in(a, &named("COUNTER", "x"))
+            .unwrap();
+        icdb.start_design("cpu").unwrap();
+        icdb.start_transaction("cpu").unwrap();
+        icdb.request_component(&named("ADDER", &lookalike)).unwrap();
+        assert_eq!(icdb.end_transaction("cpu").unwrap(), 1);
+        assert_eq!(rows(&icdb), [row(&lookalike, "COUNTER")]);
     }
 
     #[test]

@@ -119,11 +119,7 @@ impl Icdb {
         let mut out = obs::gather();
 
         let cs = self.cache_stats();
-        for (layer, ls) in [
-            ("flat", &cs.flat),
-            ("netlist", &cs.netlist),
-            ("result", &cs.result),
-        ] {
+        for (layer, ls) in [("netlist", &cs.netlist), ("result", &cs.result)] {
             for ((family, kind, help), value) in CACHE_FAMILIES.iter().zip([
                 ls.hits,
                 ls.misses,

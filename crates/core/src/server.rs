@@ -27,7 +27,7 @@
 //! [`NsId::ROOT`], and an `_in` form addressing an explicit session
 //! namespace.
 
-use crate::cache::{FlatEntry, GenerationPayload, NetEntry, NetKey, RequestKey, SourceKey};
+use crate::cache::{GenerationPayload, NetEntry, NetKey, RequestKey, SourceKey};
 use crate::error::IcdbError;
 use crate::events::{Durability, MutationEvent};
 use crate::instance::ComponentInstance;
@@ -41,7 +41,7 @@ use icdb_logic::{synthesize, Gate, GateNetlist, SynthOptions};
 use icdb_sizing::{size_netlist, SizingGoal, Strategy};
 use icdb_store::Value;
 use icdb_vhdl::{emit_entity, emit_netlist, parse_netlist, vhdl_id};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -72,9 +72,10 @@ enum Origin<'a> {
     Iif(Box<icdb_iif::Module>),
 }
 
-/// Runs `job` on every item across up to `workers` scoped threads and
-/// returns the results in item order. `workers` is clamped to
-/// `1..=items.len()`, so 0 runs sequentially.
+/// Runs `job` on every item across up to `workers` threads and returns the
+/// results in item order. The calling thread is one of them: it claims
+/// items beside the `workers - 1` scoped threads it spawns. `workers` is
+/// clamped to `1..=items.len()`, so 0 runs sequentially.
 pub(crate) fn fan_out<I: Sync, T: Send>(
     items: &[I],
     workers: usize,
@@ -86,17 +87,19 @@ pub(crate) fn fan_out<I: Sync, T: Send>(
     }
     let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let claim = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else {
+            break;
+        };
+        let result = job(item);
+        *crate::cache::lock(&slots[i]) = Some(result);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else {
-                    break;
-                };
-                let result = job(item);
-                *crate::cache::lock(&slots[i]) = Some(result);
-            });
+        for _ in 1..workers {
+            scope.spawn(claim);
         }
+        claim();
     });
     slots
         .iter()
@@ -268,8 +271,7 @@ impl Icdb {
                 Ok(Arc::new(GenerationPayload {
                     implementation: "cluster".to_string(),
                     ..self.finish_payload(
-                        &NetEntry::new(netlist, &self.cells),
-                        None,
+                        &NetEntry::new(None, netlist, &self.cells),
                         request.constraints.load_spec(),
                         &request.sizing_strategy(),
                         request.constraints.set_up_time,
@@ -368,17 +370,17 @@ impl Icdb {
     /// starts, the misses are grouped by netlist key in first-occurrence
     /// order; they then run in two phases:
     ///
-    /// 1. once per distinct key, in parallel across keys: the flat and
-    ///    netlist layers, expanding, synthesizing and rendering the views
-    ///    that do not depend on sizing where they miss;
+    /// 1. once per distinct key, in parallel across keys: one netlist-layer
+    ///    lookup, and on a miss the expansion, synthesis and rendering of
+    ///    the views that do not depend on sizing ([`Icdb::build_netlist`]);
     /// 2. once per point, in parallel across points: sizing, estimation
     ///    and the delay and shape views on a copy of the phase-1 netlist
     ///    ([`Icdb::finish_payload`]); the payload fills the result layer.
     ///
-    /// Phase 2 takes the entries phase 1 returned and never looks those
-    /// layers up again, so an eviction in between redoes no work. A key
-    /// whose phase 1 fails fails each of its points with that error. A
-    /// batch of one runs inline.
+    /// Phase 2 takes the entries phase 1 returned and never looks the
+    /// netlist layer up again, so an eviction in between redoes no work.
+    /// A key whose phase 1 fails fails each of its points with that error.
+    /// A batch of one runs inline.
     pub(crate) fn prepare_all(
         &self,
         points: &[(&Resolved<'_>, &ComponentRequest)],
@@ -388,13 +390,12 @@ impl Icdb {
             .iter()
             .map(|(resolved, _)| self.cache.get_result(&resolved.key))
             .collect();
-        let options = SynthOptions::default();
         let mut builds: Vec<(NetKey, &Resolved)> = Vec::new();
         let mut build_of: HashMap<NetKey, usize> = HashMap::new();
         let mut misses: Vec<(usize, usize)> = Vec::new();
         for (point, ((resolved, _), hit)) in points.iter().zip(&hits).enumerate() {
             if hit.is_none() {
-                let key = resolved.key.net_key(&options);
+                let key = resolved.key.net_key();
                 let build = *build_of.entry(key.clone()).or_insert_with(|| {
                     builds.push((key, resolved));
                     builds.len() - 1
@@ -403,11 +404,11 @@ impl Icdb {
             }
         }
         let built = fan_out(&builds, workers, |(key, resolved)| {
-            self.build_netlist(key, resolved, &options)
+            self.build_netlist(key, resolved)
         });
         let mut finished = fan_out(&misses, workers, |&(point, build)| {
             let (resolved, request) = points[point];
-            let (flat, net) = built[build].as_ref().map_err(IcdbError::clone)?;
+            let net = built[build].as_ref().map_err(IcdbError::clone)?;
             let (implementation, functions, connection) = match &resolved.origin {
                 Origin::Library(imp) => (
                     imp.name.clone(),
@@ -427,7 +428,6 @@ impl Icdb {
                 connection,
                 ..self.finish_payload(
                     net,
-                    Some(flat),
                     request.constraints.load_spec(),
                     &request.sizing_strategy(),
                     request.constraints.set_up_time,
@@ -442,9 +442,11 @@ impl Icdb {
             .collect()
     }
 
-    /// Phase 1 of [`Icdb::prepare_all`] for one netlist key: looks the flat
-    /// and netlist layers up once each, and expands or synthesizes (with
-    /// their views) and stores what they miss.
+    /// Phase 1 of [`Icdb::prepare_all`] for one netlist key: one
+    /// netlist-layer lookup, and on a miss the expansion and synthesis of
+    /// the module, whose entry (the unsized netlist with its IIF, MILO,
+    /// VHDL and VHDL-head views) is stored. The expanded module itself is
+    /// not kept.
     ///
     /// # Errors
     /// Propagates expansion and synthesis failures.
@@ -452,48 +454,36 @@ impl Icdb {
         &self,
         key: &NetKey,
         resolved: &Resolved<'_>,
-        options: &SynthOptions,
-    ) -> Result<(Arc<FlatEntry>, Arc<NetEntry>), IcdbError> {
-        let flat = match self.cache.get_flat(key.flat()) {
-            Some(flat) => flat,
-            None => {
-                let module = match &resolved.origin {
-                    Origin::Library(imp) => &imp.module,
-                    Origin::Iif(module) => &**module,
-                };
-                let pairs: Vec<(&str, i64)> = resolved
-                    .params
-                    .iter()
-                    .map(|(n, v)| (n.as_str(), *v))
-                    .collect();
-                let module = icdb_iif::expand(module, &pairs, &self.library)?;
-                let flat = Arc::new(FlatEntry::new(module));
-                self.cache.put_flat(key.flat().clone(), flat.clone());
-                flat
-            }
+    ) -> Result<Arc<NetEntry>, IcdbError> {
+        if let Some(net) = self.cache.get_netlist(key) {
+            return Ok(net);
+        }
+        let module = match &resolved.origin {
+            Origin::Library(imp) => &imp.module,
+            Origin::Iif(module) => &**module,
         };
-        let net = match self.cache.get_netlist(key) {
-            Some(net) => net,
-            None => {
-                let netlist = synthesize(&flat.module, &self.cells, options)?;
-                let net = Arc::new(NetEntry::new(netlist, &self.cells));
-                self.cache.put_netlist(key.clone(), net.clone());
-                net
-            }
-        };
-        Ok((flat, net))
+        let pairs: Vec<(&str, i64)> = resolved
+            .params
+            .iter()
+            .map(|(n, v)| (n.as_str(), *v))
+            .collect();
+        let module = icdb_iif::expand(module, &pairs, &self.library)?;
+        let netlist = synthesize(&module, &self.cells, &SynthOptions::default())?;
+        let net = Arc::new(NetEntry::new(Some(&module), netlist, &self.cells));
+        self.cache.put_netlist(key.clone(), net.clone());
+        Ok(net)
     }
 
     /// The pipeline tail: transistor sizing of a copy of `net`'s netlist,
     /// the set-up bound check, shape and power estimation, and the delay
-    /// and shape views. The other views come pre-rendered: the VHDL views
-    /// with `net` (sizing changes only gate sizes, which they do not
-    /// print), and the expanded-IIF and MILO views with `flat`, where the
-    /// payload has a module. The caller fills in the payload's identity.
+    /// and shape views. The other views come pre-rendered with `net`:
+    /// sizing changes only gate sizes, which the VHDL views do not print,
+    /// and the expanded-IIF and MILO views render from the module alone
+    /// (absent where the netlist has none). The caller fills in the
+    /// payload's identity.
     fn finish_payload(
         &self,
         net: &NetEntry,
-        flat: Option<&FlatEntry>,
         loads: LoadSpec,
         strategy: &Strategy,
         set_up_time: Option<f64>,
@@ -532,8 +522,8 @@ impl Icdb {
             power_uw,
             met,
             connection: Default::default(),
-            flat_iif: flat.map(|f| Arc::clone(&f.iif)),
-            milo: flat.map(|f| Arc::clone(&f.milo)),
+            flat_iif: net.iif.clone(),
+            milo: net.milo.clone(),
             vhdl: Arc::clone(&net.vhdl),
             vhdl_head: Arc::clone(&net.vhdl_head),
             delay_text,
@@ -545,8 +535,9 @@ impl Icdb {
 
     /// The mutating half of generation: names the instance (one interned
     /// allocation shared by the instance, the map key, the creation order
-    /// and the return value), persists the payload's pre-rendered views,
-    /// and registers the instance in the namespace.
+    /// and the return value), inserts its catalog row, persists the
+    /// payload's pre-rendered views, and registers the instance in the
+    /// namespace.
     pub(crate) fn install_payload_in(
         &mut self,
         ns: NsId,
@@ -585,7 +576,9 @@ impl Icdb {
             connection: payload.connection.clone(),
             layout: None,
         };
-        self.persist_payload(ns, &name, payload)?;
+        self.db
+            .insert("instances", Namespace::catalog_row(ns, &instance))?;
+        self.persist_views(ns, &name, payload);
         let space = self.spaces.get_mut(ns)?;
         space.instances.insert(name.clone(), instance);
         space.instance_order.push(name.clone());
@@ -824,13 +817,11 @@ impl Icdb {
     ) -> Result<(), IcdbError> {
         let inst = self.instance_in(ns, instance)?;
         let strategy = Strategy::Constraints(SizingGoal::clock(clock_width));
-        let net = NetEntry::new(inst.netlist.clone(), &self.cells);
-        let resized = GenerationPayload {
-            implementation: inst.implementation.clone(),
-            ..self.finish_payload(&net, None, loads.clone(), &strategy, None)?
-        };
-        self.delete_catalog_row(ns, instance);
-        self.persist_payload(ns, instance, &resized)?;
+        let net = NetEntry::new(None, inst.netlist.clone(), &self.cells);
+        let resized = self.finish_payload(&net, loads.clone(), &strategy, None)?;
+        let stale = Namespace::catalog_row(ns, inst);
+        self.delete_catalog_rows([stale]);
+        self.persist_views(ns, instance, &resized);
         let inst = self
             .spaces
             .get_mut(ns)?
@@ -842,6 +833,8 @@ impl Icdb {
         inst.report = resized.report;
         inst.shape = resized.shape;
         inst.met = resized.met;
+        self.db
+            .insert("instances", Namespace::catalog_row(ns, inst))?;
         Ok(())
     }
 
@@ -883,19 +876,38 @@ impl Icdb {
         let Ok(space) = self.spaces.get_mut(ns) else {
             return;
         };
-        if space.instances.remove(name).is_some() {
+        if let Some(inst) = space.instances.remove(name) {
             space.instance_order.retain(|n| &**n != name);
             for suffix in INSTANCE_VIEW_SUFFIXES {
                 self.files.remove(&Namespace::file_path(ns, name, suffix));
             }
-            self.delete_catalog_row(ns, name);
+            self.delete_catalog_rows([Namespace::catalog_row(ns, &inst)]);
         }
     }
 
-    /// Removes an instance's row from the relational `instances` table.
-    pub(crate) fn delete_catalog_row(&mut self, ns: NsId, name: &str) {
-        let name = Value::Text(Namespace::db_name(ns, name));
-        let _ = self.db.delete("instances", &[("name".into(), name)]);
+    /// Deletes, in one pass, one row of the relational `instances` table
+    /// equal to each of `rows` (each an instance's
+    /// [`Namespace::catalog_row`]). So a delete removes exactly its
+    /// instances' rows, although a root instance named `s<N>:x` and
+    /// session N's `x` share one catalog name.
+    pub(crate) fn delete_catalog_rows(&mut self, rows: impl IntoIterator<Item = Vec<Value>>) {
+        // Keyed by name in a B-tree: a one-row delete compares each table
+        // row's name once, and a namespace drop stays one pass.
+        let mut doomed: BTreeMap<String, Vec<Vec<Value>>> = BTreeMap::new();
+        for row in rows {
+            let name = row[0].as_text().unwrap_or_default().to_string();
+            doomed.entry(name).or_default().push(row);
+        }
+        let _ = self.db.delete_rows("instances", |row| {
+            let Some(pending) = doomed.get_mut(row[0].as_text().unwrap_or_default()) else {
+                return false;
+            };
+            let Some(i) = pending.iter().position(|p| p[..] == *row) else {
+                return false;
+            };
+            pending.swap_remove(i);
+            true
+        });
     }
 
     /// §3.3 delay string (`CW …` / `WD port …` / `SD port …`).
@@ -1046,25 +1058,10 @@ impl Icdb {
         self.generate_layout_in(ns, name, None, None)
     }
 
-    fn persist_payload(
-        &mut self,
-        ns: NsId,
-        name: &str,
-        p: &GenerationPayload,
-    ) -> Result<(), IcdbError> {
-        self.db.insert(
-            "instances",
-            vec![
-                Value::Text(Namespace::db_name(ns, name)),
-                Value::Text(p.implementation.clone()),
-                Value::Int(p.netlist.gates.len() as i64),
-                Value::Real(p.shape.best_area().map(|a| a.area()).unwrap_or(0.0)),
-                Value::Real(p.report.clock_width),
-                Value::Int(i64::from(p.met)),
-            ],
-        )?;
-        // Every view below is a pre-rendered shared blob: on the warm path
-        // these writes are reference-count bumps, not string copies.
+    /// Writes the payload's pre-rendered views to the design-data store.
+    /// Every view is a shared blob: on the warm path these writes are
+    /// reference-count bumps, not string copies.
+    fn persist_views(&mut self, ns: NsId, name: &str, p: &GenerationPayload) {
         if let Some(flat) = &p.flat_iif {
             self.files
                 .write(Namespace::file_path(ns, name, "iif"), flat.clone());
@@ -1087,13 +1084,30 @@ impl Icdb {
             Namespace::file_path(ns, name, "shape"),
             p.shape_text.clone(),
         );
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two items at two workers run at once, one on the calling thread and
+    /// one on the single thread `fan_out` spawns: each job waits for the
+    /// other at a barrier.
+    #[test]
+    fn fan_out_runs_one_share_on_the_calling_thread() {
+        let barrier = std::sync::Barrier::new(2);
+        let caller = std::thread::current().id();
+        let ran_on = fan_out(&[0, 1], 2, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_eq!(
+            ran_on.iter().filter(|&&id| id == caller).count(),
+            1,
+            "{ran_on:?}"
+        );
+    }
 
     /// Every stored view with a query counterpart, and the catalog row,
     /// agree with the instance's live queries.

@@ -15,6 +15,7 @@
 use crate::designs::DesignManager;
 use crate::error::IcdbError;
 use crate::instance::ComponentInstance;
+use icdb_store::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -143,6 +144,21 @@ impl Namespace {
         } else {
             format!("s{}:{name}", ns.0)
         }
+    }
+
+    /// An instance's row of the relational `instances` table: catalog
+    /// name, implementation, gate count, area, clock width and whether its
+    /// constraints were met. Built here for both the insert and the
+    /// delete, so a delete removes the very row its instance inserted.
+    pub(crate) fn catalog_row(ns: NsId, inst: &ComponentInstance) -> Vec<Value> {
+        vec![
+            Value::Text(Namespace::db_name(ns, &inst.name)),
+            Value::Text(inst.implementation.clone()),
+            Value::Int(inst.netlist.gates.len() as i64),
+            Value::Real(inst.area()),
+            Value::Real(inst.report.clock_width),
+            Value::Int(i64::from(inst.met)),
+        ]
     }
 }
 

@@ -250,26 +250,22 @@ impl Database {
         Ok(before - t.rows.len())
     }
 
-    /// Deletes, in one pass, every row whose `column` value satisfies
-    /// `doomed`; returns how many went.
+    /// Deletes, in one pass, every row for which `doomed` (called once per
+    /// row, in row order) returns true; returns how many went.
     ///
     /// # Errors
-    /// Fails on an unknown table or column.
+    /// Fails on an unknown table.
     pub fn delete_rows(
         &mut self,
         table: &str,
-        column: &str,
-        doomed: impl Fn(&Value) -> bool,
+        mut doomed: impl FnMut(&[Value]) -> bool,
     ) -> Result<usize, StoreError> {
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| serr(format!("no table `{table}`")))?;
-        let c = t
-            .column_index(column)
-            .ok_or_else(|| serr(format!("no column `{column}` in `{table}`")))?;
         let before = t.rows.len();
-        t.rows.retain(|r| !doomed(&r[c]));
+        t.rows.retain(|r| !doomed(r));
         Ok(before - t.rows.len())
     }
 

@@ -189,12 +189,13 @@ fn batch_shares_cache_across_workers() {
     assert_eq!(stats.result.hits, 3, "{stats:?}");
 }
 
-/// A payload shares its VHDL views with its netlist-layer entry, which
-/// holds them as rendered from the unsized netlist. That is sound for
-/// constraint sizing too: a `clock_width:`/`oload:` request that hits the
-/// netlist layer after a `cheapest` request of the same width stores and
-/// answers the VHDL that a fresh server generating it cold does, and that
-/// its own sized netlist renders.
+/// A payload shares its expanded-IIF, MILO, VHDL and VHDL-head views with
+/// its netlist-layer entry, which renders them from the expanded module
+/// and the unsized netlist. That is sound for constraint sizing too. A
+/// `clock_width:`/`oload:` request that hits the netlist layer after a
+/// `cheapest` request of the same width stores the same four views, and
+/// answers the same VHDL, as a fresh server that generates it cold. Its
+/// stored VHDL is also what its own sized netlist renders.
 #[test]
 fn shared_vhdl_views_hold_under_constraint_sizing() {
     let views = |icdb: &Icdb, name: &str| {
@@ -209,6 +210,8 @@ fn shared_vhdl_views_hold_under_constraint_sizing() {
             stored("vhdl_head"),
             icdb.vhdl_netlist(name).unwrap(),
             icdb.vhdl_head(name).unwrap(),
+            stored("iif"),
+            stored("milo"),
         ]
     };
     for (imp, size) in [
@@ -246,7 +249,9 @@ fn shared_vhdl_views_hold_under_constraint_sizing() {
     }
 }
 
-/// The `cache_query` CQL command surfaces the counters.
+/// The `cache_query` CQL command surfaces the counters of the two layers,
+/// netlist and result; the `cache_stats` table and the `metrics` samples
+/// carry exactly those layers.
 #[test]
 fn cache_query_through_cql() {
     use icdb::cql::CqlArg;
@@ -276,6 +281,36 @@ fn cache_query_through_cql() {
     assert_eq!(hits, 1);
     assert_eq!(misses, 1);
     assert!(capacity > 0);
+
+    let err = icdb
+        .execute(
+            "command:cache_query; layer:flat; hits:?d",
+            &mut [CqlArg::OutInt(None)],
+        )
+        .unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("cache_query knows layers netlist/result, not `flat`"),
+        "{err}"
+    );
+
+    icdb.publish_cache_stats().unwrap();
+    let layers = icdb
+        .db
+        .query("SELECT layer FROM cache_stats")
+        .unwrap()
+        .into_iter()
+        .map(|row| row[0].as_text().unwrap().to_string())
+        .collect::<Vec<_>>();
+    assert_eq!(layers, ["netlist", "result"]);
+
+    let mut text = [CqlArg::OutStr(None)];
+    icdb.execute("command:metrics; text:?s", &mut text).unwrap();
+    let CqlArg::OutStr(Some(text)) = &text[0] else {
+        panic!("no metrics text")
+    };
+    assert!(text.contains("icdb_cache_hits_total{layer=\"result\"}"));
+    assert!(!text.contains("layer=\"flat\""), "{text}");
 }
 
 /// A bounded cache evicts instead of growing, and keeps counting.
