@@ -1,50 +1,47 @@
 //! Regenerates every table and figure of the paper's evaluation section.
 //!
 //! ```text
-//! cargo run -p icdb-bench --bin figures            # everything
+//! cargo run -p icdb-bench --bin figures            # everything (or `all`)
 //! cargo run -p icdb-bench --bin figures fig5       # one artifact
 //! ```
 //!
-//! Artifacts: `fig5 fig6 fig9 fig10 fig11 fig12 fig13 tab_delay tab_shape
-//! tab_gentime`. Paper reference values are printed next to the measured
-//! ones.
+//! The artifacts are the names in [`ARTIFACTS`], printed in its order.
+//! An unknown name prints nothing, lists the known names on stderr and
+//! exits with code 2. Paper reference values are printed next to the
+//! measured ones.
 
 use icdb_bench as bench;
 
+/// Every artifact by name, in the order they print.
+const ARTIFACTS: [(&str, fn()); 10] = [
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("tab_delay", tab_delay),
+    ("tab_shape", tab_shape),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("tab_gentime", tab_gentime),
+];
+
 fn main() {
     let which: Vec<String> = std::env::args().skip(1).collect();
-    let all = which.is_empty() || which.iter().any(|a| a == "all");
-    let want = |name: &str| all || which.iter().any(|a| a == name);
-
-    if want("fig5") {
-        fig5();
+    let known = |name: &str| name == "all" || ARTIFACTS.iter().any(|&(n, _)| n == name);
+    if let Some(unknown) = which.iter().find(|arg| !known(arg)) {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "figures: unknown artifact `{unknown}`; known: {} all",
+            names.join(" ")
+        );
+        std::process::exit(2);
     }
-    if want("fig6") {
-        fig6();
-    }
-    if want("tab_delay") {
-        tab_delay();
-    }
-    if want("tab_shape") {
-        tab_shape();
-    }
-    if want("fig9") {
-        fig9();
-    }
-    if want("fig10") {
-        fig10();
-    }
-    if want("fig11") {
-        fig11();
-    }
-    if want("fig12") {
-        fig12();
-    }
-    if want("fig13") {
-        fig13();
-    }
-    if want("tab_gentime") {
-        tab_gentime();
+    let all = which.is_empty() || which.iter().any(|arg| arg == "all");
+    for (name, run) in ARTIFACTS {
+        if all || which.iter().any(|arg| arg == name) {
+            run();
+        }
     }
 }
 

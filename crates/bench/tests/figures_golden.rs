@@ -66,6 +66,23 @@ fn figures_match_the_golden_text() {
     );
 }
 
+/// A name `figures` does not know fails before printing anything, and
+/// the error lists the known names.
+#[test]
+fn figures_refuses_an_unknown_artifact() {
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig5", "delay"])
+        .output()
+        .expect("the figures binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "printed {} bytes", out.stdout.len());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("`delay`") && stderr.contains("tab_delay"),
+        "{stderr}"
+    );
+}
+
 /// Rewrites the golden file from the current `figures` output; see the
 /// module docs for when.
 #[test]

@@ -238,8 +238,7 @@ impl Icdb {
         // points canonically, so stored and evaluated points mix
         // deterministically) and queue fresh evaluations for the corpus.
         let mut explorer = Explorer::new(spec.objective.clone());
-        for (((strategy, request), resolved), stored) in grid.into_iter().zip(&resolved).zip(stored)
-        {
+        for (((strategy, _), resolved), stored) in grid.into_iter().zip(&resolved).zip(stored) {
             let resolved = resolved.as_ref().map_err(IcdbError::clone)?;
             let missed = stored.is_none();
             if let Some(p) = stored.filter(|_| spec.prune) {
@@ -291,7 +290,7 @@ impl Icdb {
                     library_version: payload.lib_version,
                     cells_version: payload.cells_version,
                     seq: 0, // assigned at apply time
-                    request: serde::to_bytes(&request),
+                    request: Vec::new(),
                 })
             {
                 stats.recorded += 1;

@@ -54,10 +54,11 @@ pub struct CorpusPoint {
     /// Apply-order sequence number, assigned by [`CorpusStore::record`] —
     /// deterministic under event replay, so primaries and followers agree.
     pub seq: u64,
-    /// Serialized `ComponentRequest` that produced the point. Retired: the
-    /// server no longer reads it (it fed a removed boot-time cache
-    /// warm-start), but records keep it, unchanged, in their positional
-    /// encoding.
+    /// Retired: empty in every point recorded now. Points recorded by
+    /// earlier builds hold the serialized `ComponentRequest` that produced
+    /// them, which fed a removed boot-time cache warm-start; nothing reads
+    /// it. The field stays so the positional encoding of WALs and snapshots
+    /// is unchanged.
     pub request: Vec<u8>,
 }
 

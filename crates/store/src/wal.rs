@@ -34,12 +34,22 @@
 //! byte length recovery cuts the log back to).
 //!
 //! Appends optionally `fsync` (fdatasync) before returning, making each
-//! committed record crash-durable. A reader stops at the first record whose
-//! length exceeds the cap or overruns the bytes read, or whose checksum
-//! mismatches — by construction that is a torn tail, and
-//! [`WalWriter::open`] truncates it away. An all-zero header decodes as a
-//! valid empty record (the CRC-32 of no bytes is 0), so zeros past the end
-//! of the log would read as records.
+//! committed record crash-durable. Records are never empty — an empty
+//! payload is refused with `InvalidInput` — so a zero length field ends the
+//! log. A reader stops there, and at the first frame whose length exceeds
+//! the cap or overruns the bytes read, or whose checksum mismatches. Zeros
+//! after the valid prefix are a clean end; any non-zero byte there is a
+//! torn tail. [`WalWriter::open`] truncates both away.
+//!
+//! The writer keeps a region of zeros ahead of the log's end, 64 KiB
+//! (`ZERO_STEP`) at a time: an append that would run past it first writes
+//! the next 64 KiB of zeros beyond its frame, and later appends overwrite
+//! those zeros in place. So a commit's fdatasync writes data blocks and
+//! almost never the file size, which changes, and is journaled, once per
+//! 64 KiB of records instead of on every commit. Dropping the writer trims
+//! the file back to its records, so a cleanly closed log holds exactly the
+//! framing above; after a crash the zeros stay, and recovery reads them as
+//! the end of the log.
 //!
 //! For concurrent committers, [`GroupWal`] layers *group commit* over a
 //! `WalWriter`: committers enqueue records and one leader per batch writes
@@ -49,7 +59,8 @@
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -68,6 +79,15 @@ const FEED_MAX_EVENTS: usize = 8192;
 /// Byte cap of the replication feed's retained payloads — bounds memory
 /// when individual records are large.
 const FEED_MAX_BYTES: usize = 64 * 1024 * 1024;
+
+/// Bytes of zeros a [`WalWriter`] writes ahead of the log's end at a time.
+/// One extension per 64 KiB of records keeps file-size changes off nearly
+/// every commit's fsync, while a fresh log's first commit, which pays for
+/// the first extension, stays cheap.
+const ZERO_STEP: usize = 64 * 1024;
+
+/// The zeros one extension writes.
+static ZEROS: [u8; ZERO_STEP] = [0; ZERO_STEP];
 
 /// Magic prefix of snapshot files.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"ICDBSNAP";
@@ -115,9 +135,15 @@ fn frame_len(payload_len: usize) -> u64 {
     (FRAME_HEADER + payload_len) as u64
 }
 
-/// The record length field of `payload`, refusing records over
-/// [`MAX_RECORD_LEN`].
+/// The record length field of `payload`, refusing an empty record (a zero
+/// length field ends the log) and records over [`MAX_RECORD_LEN`].
 fn record_len(payload: &[u8]) -> io::Result<u32> {
+    if payload.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "empty WAL record: a zero length field ends the log",
+        ));
+    }
     u32::try_from(payload.len())
         .ok()
         .filter(|&len| len <= MAX_RECORD_LEN)
@@ -141,14 +167,14 @@ fn encode_frame(payload: &[u8]) -> io::Result<Vec<u8>> {
 
 /// Decodes the frame at the start of `bytes` into its payload and the
 /// frame's length. `None` when no complete, checksum-valid frame starts
-/// there: a short header, a length over [`MAX_RECORD_LEN`] (checked first,
-/// so the frame's end offset cannot overflow), a payload overrunning
-/// `bytes`, or a checksum mismatch.
+/// there: a short header, a zero length (the end of the log), a length
+/// over [`MAX_RECORD_LEN`] (checked first, so the frame's end offset cannot
+/// overflow), a payload overrunning `bytes`, or a checksum mismatch.
 fn decode_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
     let header = bytes.get(..FRAME_HEADER)?;
     let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
     let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    if len > MAX_RECORD_LEN {
+    if len == 0 || len > MAX_RECORD_LEN {
         return None;
     }
     let payload = bytes.get(FRAME_HEADER..FRAME_HEADER + len as usize)?;
@@ -160,9 +186,11 @@ fn decode_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
 pub struct WalScan {
     /// Decoded record payloads, in append order.
     pub records: Vec<Vec<u8>>,
-    /// Byte length of the valid prefix (everything after it is torn).
+    /// Byte length of the valid prefix (the next open cuts everything
+    /// after it).
     pub valid_len: u64,
-    /// Whether trailing bytes past the valid prefix were present.
+    /// Whether a non-zero byte follows the valid prefix. Zeros there are
+    /// the writer's zero region: a clean end.
     pub torn: bool,
 }
 
@@ -176,7 +204,7 @@ impl WalScan {
             at += len;
         }
         scan.valid_len = at as u64;
-        scan.torn = at < bytes.len();
+        scan.torn = bytes[at..].iter().any(|&b| b != 0);
         scan
     }
 
@@ -194,7 +222,8 @@ impl WalScan {
 }
 
 /// Reads every valid record of a WAL file. A missing file scans as empty;
-/// a torn or corrupt tail ends the scan (`torn = true`) without failing.
+/// a zero tail ends the scan cleanly, and a torn or corrupt tail ends it
+/// with `torn = true`, without failing.
 ///
 /// # Errors
 /// Propagates I/O errors other than "file not found".
@@ -211,7 +240,8 @@ pub fn scan_wal(path: &Path) -> io::Result<WalScan> {
 /// [`GroupWal::durable_extent`]), so a record that is written but not yet
 /// fsynced, or mid-write by the group-commit leader, is never returned.
 /// Decoding is [`scan_wal`]'s: the read stops at the first frame that
-/// overruns `limit` or fails its checksum.
+/// overruns `limit` or fails its checksum, and the writer's zero region
+/// past the durable extent is never read.
 ///
 /// # Errors
 /// Propagates I/O errors, a missing file included.
@@ -221,12 +251,16 @@ pub fn read_wal_prefix(path: &Path, limit: u64) -> io::Result<Vec<Vec<u8>>> {
     Ok(WalScan::decode(&bytes).records)
 }
 
-/// An append-only writer over one WAL file.
+/// An append-only writer over one WAL file. It keeps up to 64 KiB of zeros
+/// written past its last record and trims them when dropped (see the
+/// module docs).
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
     path: PathBuf,
     bytes: u64,
+    /// End of the zeros written past `bytes`: the file's length.
+    allocated: u64,
     records: u64,
     sync: bool,
 }
@@ -246,7 +280,8 @@ impl WalWriter {
     }
 
     /// Opens a WAL for appending at an explicit byte offset, truncating
-    /// everything past it. Used by recovery when the *semantic* valid
+    /// everything past it, a zero tail included: the first append writes
+    /// the zero region again. Used by recovery when the *semantic* valid
     /// prefix is shorter than the checksum-valid one (a record that
     /// passes its CRC but no longer decodes must be cut away exactly like
     /// a torn tail — otherwise later appends would land beyond it and
@@ -257,7 +292,7 @@ impl WalWriter {
     /// Propagates I/O errors.
     pub fn open_at(path: &Path, valid_len: u64, records: u64, sync: bool) -> io::Result<WalWriter> {
         let fresh = !path.exists();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -266,7 +301,6 @@ impl WalWriter {
         if file.metadata()?.len() > valid_len {
             file.set_len(valid_len)?;
         }
-        file.seek(SeekFrom::Start(valid_len))?;
         if fresh {
             // Make the new directory entry itself durable.
             if let Some(dir) = path.parent() {
@@ -277,6 +311,7 @@ impl WalWriter {
             file,
             path: path.to_path_buf(),
             bytes: valid_len,
+            allocated: valid_len,
             records,
             sync,
         })
@@ -284,31 +319,41 @@ impl WalWriter {
 
     /// Appends one record (length + checksum + payload) and, when the
     /// writer is in sync mode, fsyncs so the record survives a crash the
-    /// moment this returns.
+    /// moment this returns. A record that would run past the zero region
+    /// first writes the next 64 KiB of zeros beyond its frame; the same
+    /// fsync makes both durable.
     ///
     /// # Errors
-    /// Propagates I/O errors; on failure the file may hold a torn record,
-    /// which the next [`WalWriter::open`] truncates away.
+    /// An empty or oversized payload (`InvalidInput`, nothing written), and
+    /// I/O errors; on an I/O failure the file may hold a torn record, which
+    /// the next [`WalWriter::open`] truncates away.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         let frame = encode_frame(payload)?;
         match crate::fail::fire("wal.append") {
             Some(crate::fail::Injected::ShortWrite(e)) => {
                 // Model a torn record: half the frame reaches the disk
                 // before the device fails. Recovery must truncate it.
-                let _ = self.file.write_all(&frame[..frame.len() / 2]);
+                let _ = self
+                    .file
+                    .write_all_at(&frame[..frame.len() / 2], self.bytes);
                 return Err(e);
             }
             Some(injected) => return Err(crate::fail::error_of(injected)),
             None => {}
         }
-        self.file.write_all(&frame)?;
+        let end = self.bytes + frame.len() as u64;
+        if end > self.allocated {
+            self.file.write_all_at(&ZEROS, end)?;
+            self.allocated = end + ZERO_STEP as u64;
+        }
+        self.file.write_all_at(&frame, self.bytes)?;
         if self.sync {
             if let Some(injected) = crate::fail::fire("wal.sync") {
                 return Err(crate::fail::error_of(injected));
             }
             self.file.sync_data()?;
         }
-        self.bytes += frame.len() as u64;
+        self.bytes = end;
         self.records += 1;
         Ok(())
     }
@@ -338,6 +383,16 @@ impl WalWriter {
     /// Path of the log file.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+/// A clean close trims the zero region, so the file holds exactly its
+/// records. A failed trim leaves zeros, which read as a clean end.
+impl Drop for WalWriter {
+    fn drop(&mut self) {
+        if self.allocated > self.bytes {
+            let _ = self.file.set_len(self.bytes);
+        }
     }
 }
 
@@ -1074,14 +1129,15 @@ mod tests {
         let (mut w, scan) = WalWriter::open(&path, false).unwrap();
         assert!(scan.records.is_empty());
         w.append(b"alpha").unwrap();
-        w.append(b"").unwrap();
+        // An empty record would frame as a zero header, the end of the log.
+        let empty = w.append(b"").unwrap_err();
+        assert_eq!(empty.kind(), io::ErrorKind::InvalidInput);
         w.append(&[0xFFu8; 300]).unwrap();
-        assert_eq!(w.records(), 3);
+        assert_eq!(w.records(), 2);
         let scan = scan_wal(&path).unwrap();
-        assert_eq!(scan.records.len(), 3);
+        assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.records[0], b"alpha");
-        assert_eq!(scan.records[1], b"");
-        assert_eq!(scan.records[2], vec![0xFFu8; 300]);
+        assert_eq!(scan.records[1], vec![0xFFu8; 300]);
         assert!(!scan.torn);
         assert_eq!(scan.valid_len, w.bytes());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1245,6 +1301,9 @@ mod tests {
         let group = GroupWal::new(writer, false, Duration::ZERO);
         let huge = vec![0u8; MAX_RECORD_LEN as usize + 1];
         assert!(group.submit(huge).is_err());
+        let empty = group.submit(Vec::new()).unwrap_err();
+        assert_eq!(empty.kind(), io::ErrorKind::InvalidInput);
+        assert!(group.fault().is_none());
         // Not an I/O failure: the log still accepts records.
         let seq = group.submit(b"fine".to_vec()).unwrap();
         group.wait_durable(seq).unwrap();
@@ -1368,9 +1427,12 @@ mod tests {
     /// The on-disk frame layout, pinned as literal bytes.
     #[test]
     fn frames_match_the_on_disk_format() {
-        // The CRC-32 of an empty payload is 0, so an empty record frames
-        // as eight zero bytes: a zero-filled tail reads as empty records.
-        assert_eq!(encode_frame(b"").unwrap(), [0u8; 8]);
+        // The CRC-32 of an empty payload is 0, so an empty record would
+        // frame as eight zero bytes, the end of the log: it is refused.
+        assert_eq!(
+            encode_frame(b"").unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
         assert_eq!(
             encode_frame(b"abc").unwrap(),
             [0x03, 0x00, 0x00, 0x00, 0xc2, 0x41, 0x24, 0x35, b'a', b'b', b'c']
@@ -1388,6 +1450,122 @@ mod tests {
         assert_eq!(scan.valid_len, image.len() as u64);
         assert!(!scan.torn);
         assert_eq!(scan.prefix_len(1), 11);
+        // The same image followed by a zero region scans the same, clean.
+        let mut zero_tailed = image.to_vec();
+        zero_tailed.resize(image.len() + ZERO_STEP, 0);
+        std::fs::write(&path, &zero_tailed).unwrap();
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.records, vec![b"abc".to_vec(), b"hello".to_vec()]);
+        assert_eq!(scan.valid_len, image.len() as u64);
+        assert!(!scan.torn);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The file beside a live writer: its valid bytes, then only zeros,
+    /// never more than `ZERO_STEP` of them.
+    fn assert_zero_tail(path: &Path, w: &WalWriter) {
+        let bytes = std::fs::read(path).unwrap();
+        let valid = w.bytes() as usize;
+        assert!(bytes.len() >= valid && bytes.len() - valid <= ZERO_STEP);
+        assert!(bytes[valid..].iter().all(|&b| b == 0));
+    }
+
+    /// Records totalling several zero steps cross each extension and scan
+    /// back identical; a clean close leaves exactly the valid bytes.
+    #[test]
+    fn records_crossing_zero_extensions_scan_back_identical() {
+        let dir = temp_dir("zero-extend");
+        let path = dir.join("wal-0.log");
+        let (mut w, _) = WalWriter::open(&path, false).unwrap();
+        let records: Vec<Vec<u8>> = (0..700u32)
+            .map(|i| vec![(i % 251 + 1) as u8; 1 + (i as usize * 37) % 400])
+            .collect();
+        assert!(records.iter().map(Vec::len).sum::<usize>() > 2 * ZERO_STEP);
+        for record in &records {
+            w.append(record).unwrap();
+            assert_zero_tail(&path, &w);
+        }
+        // One record larger than a whole step extends past it too.
+        let large = vec![0xA5u8; ZERO_STEP + 100];
+        w.append(&large).unwrap();
+        assert_zero_tail(&path, &w);
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.records[..records.len()], records[..]);
+        assert_eq!(scan.records.last(), Some(&large));
+        assert_eq!(scan.valid_len, w.bytes());
+        assert!(!scan.torn);
+        let valid = w.bytes();
+        drop(w);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), valid);
+        assert_eq!(scan_wal(&path).unwrap().records, scan.records);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash leaves the zero tail in place: a clean prefix followed by
+    /// zeros scans clean, a torn half-record followed by zeros is torn,
+    /// and reopening cuts either back to the records.
+    #[test]
+    fn a_zero_tail_ends_the_log_cleanly_and_a_torn_one_is_cut() {
+        let dir = temp_dir("zero-crash");
+        let path = dir.join("wal-0.log");
+        let (mut w, _) = WalWriter::open(&path, false).unwrap();
+        w.append(b"kept").unwrap();
+        let kept = w.bytes();
+        w.append(b"torn in half").unwrap();
+        // The crash image: the live file, zero tail and all.
+        let image = std::fs::read(&path).unwrap();
+        drop(w);
+        assert!(image.len() as u64 > kept + frame_len(12));
+
+        let mut clean = image[..kept as usize].to_vec();
+        clean.resize(image.len(), 0);
+        std::fs::write(&path, &clean).unwrap();
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(
+            (scan.records.len(), scan.valid_len, scan.torn),
+            (1, kept, false)
+        );
+
+        let mut torn = image[..kept as usize + 10].to_vec();
+        torn.resize(image.len(), 0);
+        std::fs::write(&path, &torn).unwrap();
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(
+            (scan.records.len(), scan.valid_len, scan.torn),
+            (1, kept, true)
+        );
+
+        let (mut w, scan) = WalWriter::open(&path, false).unwrap();
+        assert_eq!(scan.records, vec![b"kept".to_vec()]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), kept);
+        w.append(b"after").unwrap();
+        drop(w);
+        assert_eq!(
+            scan_wal(&path).unwrap().records,
+            vec![b"kept".to_vec(), b"after".to_vec()]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A replication bootstrap reads a live log, zero tail and all: up to
+    /// the durable extent it returns exactly the durable records, and even
+    /// an unbounded read stops at the zeros.
+    #[test]
+    fn durable_prefix_read_of_a_live_log_skips_its_zero_tail() {
+        let dir = temp_dir("prefix-zero-tail");
+        let path = dir.join("wal-0.log");
+        let (writer, _) = WalWriter::open(&path, false).unwrap();
+        let group = GroupWal::new(writer, true, Duration::ZERO);
+        let records: Vec<Vec<u8>> = (0..5u8).map(|i| vec![b'r', i]).collect();
+        let mut last = 0;
+        for record in &records {
+            last = group.submit(record.clone()).unwrap();
+        }
+        group.wait_durable(last).unwrap();
+        let (_, durable_bytes, _) = group.durable_extent();
+        assert!(std::fs::metadata(&path).unwrap().len() > durable_bytes);
+        assert_eq!(read_wal_prefix(&path, durable_bytes).unwrap(), records);
+        assert_eq!(read_wal_prefix(&path, u64::MAX).unwrap(), records);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

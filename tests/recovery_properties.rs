@@ -9,7 +9,7 @@
 //! deterministic — so "state after k journaled events" is well-defined
 //! regardless of how the process died.
 
-use icdb::store::wal::{scan_wal, WalWriter};
+use icdb::store::wal::{read_wal_prefix, scan_wal, WalWriter};
 use icdb::{ComponentRequest, Icdb, MutationEvent};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -341,6 +341,10 @@ fn group_commit_kill_points_recover_the_acknowledged_prefix() {
     std::fs::create_dir_all(&image).unwrap();
     std::fs::copy(dir.join("wal-0.log"), image.join("wal-0.log")).unwrap();
     drop(service);
+    // The image holds the writer's zero region past its records, so the
+    // recovery below crosses a zero tail.
+    let image_wal = image.join("wal-0.log");
+    assert!(std::fs::metadata(&image_wal).unwrap().len() > scan_wal(&image_wal).unwrap().valid_len);
 
     // Every acknowledged commit is in the image.
     let recovered = Icdb::open_with_sync(&image, false).unwrap();
@@ -389,6 +393,229 @@ fn group_commit_kill_points_recover_the_acknowledged_prefix() {
     }
     std::fs::remove_dir_all(&image).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Copies the first `end` bytes of a WAL image followed by `zeros` zero
+/// bytes into a fresh data dir: the disk a SIGKILL leaves when it lands
+/// inside the writer's zero region.
+fn zero_tailed_copy(image: &[u8], end: usize, zeros: usize, tag: &str) -> PathBuf {
+    let dir = temp_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut bytes = image[..end].to_vec();
+    bytes.resize(end + zeros, 0);
+    std::fs::write(dir.join("wal-0.log"), bytes).unwrap();
+    dir
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Kill points inside the writer's zero region: every record boundary
+    /// followed by up to 64 KiB of zeros recovers exactly that prefix, and
+    /// so does a torn half-record followed by zeros. Recovery cuts the
+    /// zeros away, and never replays them as records.
+    #[test]
+    fn kill_points_inside_the_zero_region_recover_the_journaled_prefix(
+        ops in proptest::collection::vec(arb_op(), 1..6),
+        zeros in 1usize..65_537,
+    ) {
+        let dir = temp_dir("zero-src");
+        let mut icdb = Icdb::open_with_sync(&dir, false).unwrap();
+        run_script(&mut icdb, &ops);
+        icdb.sync_journal().unwrap();
+        // The SIGKILL image: the live file, zero region included.
+        let image = std::fs::read(dir.join("wal-0.log")).unwrap();
+        drop(icdb);
+        let scan = scan_wal(&dir.join("wal-0.log")).unwrap();
+        // A script that journals nothing (a lone `Layout`) writes no zeros.
+        prop_assert!(scan.records.is_empty() || image.len() as u64 > scan.valid_len);
+        let events: Vec<MutationEvent> = scan
+            .records
+            .iter()
+            .map(|r| serde::from_bytes(r).expect("journal records decode"))
+            .collect();
+
+        for k in 0..=events.len() {
+            let mut expected = Icdb::new();
+            for event in &events[..k] {
+                let _ = expected.apply(event);
+            }
+            let expected = transcript(&expected);
+            let end = scan.prefix_len(k) as usize;
+            let zeros = 1 + (zeros + k * 4_093) % 65_536;
+            let mut tails = vec![(0, "zkill")];
+            if k < events.len() {
+                tails.push((5, "ztorn"));
+            }
+            for (extra, tag) in tails {
+                let killed = zero_tailed_copy(&image, end + extra, zeros, &format!("{tag}{k}"));
+                let recovered = Icdb::open_with_sync(&killed, false).unwrap();
+                prop_assert_eq!(
+                    recovered.persist_stats().unwrap().recovered_events,
+                    k as u64
+                );
+                prop_assert_eq!(&transcript(&recovered), &expected);
+                prop_assert_eq!(
+                    std::fs::metadata(killed.join("wal-0.log")).unwrap().len(),
+                    end as u64
+                );
+                drop(recovered);
+                std::fs::remove_dir_all(&killed).ok();
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A log longer than one zero step: commits cross several extensions,
+/// the live file never holds more than 64 KiB of zeros past its records,
+/// a live image and a cleanly closed log both recover every commit, and
+/// the closed log holds exactly its records.
+#[test]
+fn a_log_spanning_several_zero_steps_recovers_every_commit() {
+    let dir = temp_dir("zero-steps");
+    let wal = dir.join("wal-0.log");
+    let mut icdb = Icdb::open_with_sync(&dir, false).unwrap();
+    let mut commits = 0u64;
+    while icdb.persist_stats().unwrap().wal_bytes < 3 * 65_536 {
+        let size = 2 + commits % 3;
+        icdb.request_component(
+            &ComponentRequest::by_implementation("ADDER").attribute("size", size.to_string()),
+        )
+        .unwrap();
+        commits += 1;
+        let wal_bytes = icdb.persist_stats().unwrap().wal_bytes;
+        let file_len = std::fs::metadata(&wal).unwrap().len();
+        assert!(file_len >= wal_bytes && file_len - wal_bytes <= 65_536);
+    }
+    icdb.sync_journal().unwrap();
+    let live = transcript(&icdb);
+    let wal_bytes = icdb.persist_stats().unwrap().wal_bytes;
+
+    let image = temp_dir("zero-steps-image");
+    std::fs::create_dir_all(&image).unwrap();
+    std::fs::copy(&wal, image.join("wal-0.log")).unwrap();
+    drop(icdb);
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_bytes);
+
+    for data in [&image, &dir] {
+        let recovered = Icdb::open_with_sync(data, false).unwrap();
+        assert_eq!(recovered.persist_stats().unwrap().recovered_events, commits);
+        assert_eq!(transcript(&recovered), live);
+    }
+    std::fs::remove_dir_all(&image).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sweep journals its corpus points without the retired request bytes.
+#[test]
+fn a_sweep_journals_corpus_points_without_their_request() {
+    let dir = temp_dir("corpus-request");
+    let mut icdb = Icdb::open_with_sync(&dir, false).unwrap();
+    let spec = icdb::ExploreSpec::by_component("counter")
+        .widths([3, 4])
+        .strategies(["cheapest", "fastest"]);
+    icdb.explore(&spec).unwrap();
+    icdb.flush_corpus().unwrap();
+    icdb.sync_journal().unwrap();
+    drop(icdb);
+    let mut points = 0;
+    for record in scan_wal(&dir.join("wal-0.log")).unwrap().records {
+        if let MutationEvent::RecordCorpus { points: recorded } =
+            serde::from_bytes(&record).unwrap()
+        {
+            for (_, point) in recorded {
+                assert!(point.request.is_empty(), "{point:?}");
+                points += 1;
+            }
+        }
+    }
+    assert!(points > 0, "the sweep must have journaled corpus points");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Scans `image` as a WAL file, and reads its durable prefix up to
+/// `limit`, and checks what every decode of outside bytes must hold:
+/// no panic; records that fill exactly the valid prefix and hold no more
+/// bytes than the input; a torn flag set exactly when a non-zero byte
+/// follows the prefix; and a prefix read returning exactly the records
+/// that end within its limit. Returns the scanned records.
+fn check_decode(image: &[u8], limit: u64, tag: &str) -> Result<Vec<Vec<u8>>, TestCaseError> {
+    let dir = temp_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wal-0.log");
+    std::fs::write(&path, image).unwrap();
+    let scan = scan_wal(&path).unwrap();
+    let prefix = read_wal_prefix(&path, limit).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    prop_assert_eq!(scan.prefix_len(scan.records.len()), scan.valid_len);
+    prop_assert!(scan.valid_len <= image.len() as u64);
+    prop_assert!(scan.records.iter().all(|r| !r.is_empty()));
+    prop_assert!(scan.records.iter().map(Vec::len).sum::<usize>() <= image.len());
+    let tail_nonzero = image[scan.valid_len as usize..].iter().any(|&b| b != 0);
+    prop_assert_eq!(scan.torn, tail_nonzero);
+    let within = (0..=scan.records.len())
+        .rev()
+        .find(|&k| scan.prefix_len(k) <= limit)
+        .unwrap_or(0);
+    prop_assert_eq!(&prefix[..], &scan.records[..within]);
+    Ok(scan.records)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Hostile bytes: a random header (small or arbitrary length field,
+    /// so lengths over the record cap are refused before any slice),
+    /// random bytes after it, and optionally a zero tail.
+    #[test]
+    fn wal_decoder_survives_random_images(
+        len in prop_oneof![0u32..48, any::<u32>()],
+        crc in any::<u32>(),
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+        zeros in prop_oneof![0usize..1, 1usize..70_000],
+        limit in any::<u64>(),
+    ) {
+        let mut image = len.to_le_bytes().to_vec();
+        image.extend_from_slice(&crc.to_le_bytes());
+        image.extend_from_slice(&body);
+        image.resize(image.len() + zeros, 0);
+        let limit = limit % (image.len() as u64 + 9);
+        check_decode(&image, limit, "hostile-random")?;
+    }
+
+    /// Bit-flipped copies of a real log, with and without a zero tail,
+    /// decode to a prefix of the records written.
+    #[test]
+    fn wal_decoder_keeps_a_prefix_of_a_bit_flipped_log(
+        records in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..48), 1..8),
+        flips in proptest::collection::vec((any::<u64>(), 0u8..8), 0..4),
+        zeros in prop_oneof![0usize..1, 1usize..70_000],
+        limit in any::<u64>(),
+    ) {
+        let dir = temp_dir("hostile-log");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal-0.log");
+        let (mut writer, _) = WalWriter::open(&path, false).unwrap();
+        for record in &records {
+            writer.append(record).unwrap();
+        }
+        drop(writer);
+        let mut image = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        for &(at, bit) in &flips {
+            let at = (at % image.len() as u64) as usize;
+            image[at] ^= 1 << bit;
+        }
+        image.resize(image.len() + zeros, 0);
+        let limit = limit % (image.len() as u64 + 9);
+        let decoded = check_decode(&image, limit, "hostile-flipped")?;
+        prop_assert_eq!(&decoded[..], &records[..decoded.len()]);
+        if flips.is_empty() {
+            prop_assert_eq!(&decoded, &records);
+        }
+    }
 }
 
 /// The exploration corpus is journaled state: a sweep's recorded points
