@@ -7,10 +7,10 @@
 //!   missed it, exactly once per distinct netlist (implementation × width,
 //!   shared by both strategies), at this machine's core count of workers;
 //! * `sizing` — TILOS sizing re-times one gate per trial move on a
-//!   `TimingGraph`. Its speedup is the reference loop's time (a full STA
-//!   per trial, `icdb_bench::reference`) over `size_netlist`'s, both
-//!   measured in this run on `fastest` `ALU size=4` and `CSEL_ADDER
-//!   size=4`;
+//!   `TimingGraph`, and tries only the gates on a critical path. Its
+//!   speedup is the reference loop's time (a full STA per trial on every
+//!   gate, `icdb_bench::reference`) over `size_netlist`'s, both measured in
+//!   this run on `fastest` `ALU size=4` and `CSEL_ADDER size=4`;
 //! * `synthesis` — the rest of a cold point is mostly logic synthesis,
 //!   whose minimizer and factoring work on inline bitset cubes and
 //!   products. Its speedup is the reference minimizer and factoring's time

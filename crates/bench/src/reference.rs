@@ -43,7 +43,8 @@ fn violation(goal: &SizingGoal, report: &DelayReport) -> f64 {
 }
 
 /// Sizes `nl` in place exactly as [`icdb::sizing::size_netlist`] does, with
-/// a full static timing analysis per trial move.
+/// a full static timing analysis per trial move, trying every gate on every
+/// move; `trials` counts those analyses.
 pub fn size_netlist(
     nl: &mut GateNetlist,
     lib: &Library,
@@ -69,13 +70,14 @@ pub fn size_netlist(
         let area_width = nl.total_width(lib);
         return SizingResult {
             iterations: 0,
+            trials: 0,
             met: true,
             report,
             area_width,
         };
     }
 
-    let mut iterations = 0;
+    let (mut iterations, mut trials) = (0, 0);
     loop {
         let current = objective(&report);
         let done = match strategy {
@@ -98,6 +100,7 @@ pub fn size_netlist(
             let cell = lib.cell(nl.gates[gi].cell);
             let area_delta = cell.width(new_size) - cell.width(old_size);
             nl.gates[gi].size = new_size;
+            trials += 1;
             let trial = estimate_delay(nl, lib, loads).expect("acyclic");
             nl.gates[gi].size = old_size;
             let gain = current - objective(&trial);
@@ -126,6 +129,7 @@ pub fn size_netlist(
     let area_width = nl.total_width(lib);
     SizingResult {
         iterations,
+        trials,
         met,
         report,
         area_width,

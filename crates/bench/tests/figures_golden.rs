@@ -11,7 +11,8 @@
 //!
 //! and says in CHANGES.md which lines changed and why.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/figures.txt");
 
@@ -81,6 +82,32 @@ fn figures_refuses_an_unknown_artifact() {
         stderr.contains("`delay`") && stderr.contains("tab_delay"),
         "{stderr}"
     );
+}
+
+/// A reader that closes the pipe after one line ends the run quietly:
+/// the figures still to print fail with a broken pipe, and `figures` exits
+/// 0 without a panic.
+#[test]
+fn figures_exits_quietly_when_its_reader_closes() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig5", "fig6", "fig9", "fig10"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the figures binary runs");
+    let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("figures prints a line");
+    // The later figures are computed and written after this.
+    drop(reader);
+    let out = child.wait_with_output().expect("figures exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "figures exits with {}: {stderr}",
+        out.status
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// Rewrites the golden file from the current `figures` output; see the

@@ -5,10 +5,15 @@
 //!   path equal `estimate_delay`'s bit for bit, a trial leaves the graph as
 //!   it found it, and a re-timed graph reports exactly what a freshly built
 //!   one does;
+//! * `unmarked_bumps_never_lower_the_objective` — over the same random
+//!   drive assignments, a drive bump of any gate that
+//!   `icdb::sizing::candidates` leaves unmarked yields an objective no
+//!   lower than the current one, under `fastest` and under clock-width,
+//!   `rdelay` and `comb_delay` goals;
 //! * `sizer_matches_reference` — `size_netlist` equals the reference loop
-//!   (a full STA per trial move, `icdb_bench::reference`) in moves, `met`,
-//!   every size, the area and the report, for every builtin under four
-//!   strategies.
+//!   (a full STA per trial move on every gate, `icdb_bench::reference`) in
+//!   moves, `met`, every size, the area and the report, and runs no more
+//!   trials, for every builtin under five strategies.
 //!
 //! Debug builds cover widths 1–3; `cargo test --release --test
 //! timing_oracle` covers widths 1–8.
@@ -16,7 +21,7 @@
 use icdb::cells::{Library, TECH};
 use icdb::estimate::{estimate_delay, DelayReport, LoadSpec, TimingGraph};
 use icdb::logic::{Gate, GateNetlist};
-use icdb::sizing::{size_netlist, SizingGoal, Strategy};
+use icdb::sizing::{candidates, objective, size_netlist, SizingGoal, Strategy, SIZE_STEP};
 use icdb::Icdb;
 use icdb_bench::{builtin_netlist, reference};
 use proptest::prelude::*;
@@ -121,6 +126,39 @@ fn netlists() -> &'static (Library, Vec<GateNetlist>) {
     })
 }
 
+/// A xorshift stream of `(raw, drive)` pairs, each drive uniform over the
+/// library's range.
+fn drives(seed: u64) -> impl FnMut() -> (u64, f64) {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (
+            state,
+            1.0 + (state % 1000) as f64 / 999.0 * (TECH.max_drive - 1.0),
+        )
+    }
+}
+
+/// `base` at random drives, under `load` with twice that (plus one) on its
+/// first output.
+fn randomized(
+    base: &GateNetlist,
+    drive: &mut impl FnMut() -> (u64, f64),
+    load: f64,
+) -> (GateNetlist, LoadSpec) {
+    let mut loads = LoadSpec::uniform(load);
+    loads
+        .per_output
+        .insert(base.net_name(base.outputs[0]).to_string(), 2.0 * load + 1.0);
+    let mut nl = base.clone();
+    for g in &mut nl.gates {
+        g.size = drive().1;
+    }
+    (nl, loads)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -133,21 +171,8 @@ proptest! {
     ) {
         let (lib, all) = netlists();
         let base = &all[pick % all.len()];
-        let mut state = seed | 1;
-        let mut drive = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state, 1.0 + (state % 1000) as f64 / 999.0 * (TECH.max_drive - 1.0))
-        };
-        let mut loads = LoadSpec::uniform(load);
-        loads
-            .per_output
-            .insert(base.net_name(base.outputs[0]).to_string(), 2.0 * load + 1.0);
-        let mut nl = base.clone();
-        for g in &mut nl.gates {
-            g.size = drive().1;
-        }
+        let mut drive = drives(seed);
+        let (nl, loads) = randomized(base, &mut drive, load);
         let at = |sizes: &[f64]| {
             let mut sized = nl.clone();
             for (g, &s) in sized.gates.iter_mut().zip(sizes) {
@@ -182,6 +207,50 @@ proptest! {
             prop_assert_eq!(bits(&graph.report()), bits(&rebuilt.report()));
         }
     }
+
+    #[test]
+    fn unmarked_bumps_never_lower_the_objective(
+        seed in any::<u64>(),
+        load in 0.0f64..60.0,
+    ) {
+        let (lib, all) = netlists();
+        let mut drive = drives(seed);
+        for base in all {
+            let (nl, loads) = randomized(base, &mut drive, load);
+            let mut graph = TimingGraph::new(&nl, lib, &loads).unwrap();
+            let port = nl.net_name(nl.outputs[0]);
+            let mut rdelay = SizingGoal::default();
+            rdelay.per_output.insert(
+                port.to_string(),
+                graph.output_delay(port).unwrap_or(1.0) * 0.8,
+            );
+            let goals = [
+                None,
+                Some(SizingGoal::clock(graph.clock_width() * 0.8)),
+                Some(rdelay),
+                Some(SizingGoal {
+                    worst_delay: Some(graph.worst_output_delay() * 0.8),
+                    ..SizingGoal::default()
+                }),
+            ];
+            for goal in &goals {
+                let goal = goal.as_ref();
+                let current = objective(goal, &graph);
+                let marked = candidates(goal, &graph, current);
+                for gi in (0..nl.gates.len()).filter(|&gi| !marked[gi]) {
+                    let size = (graph.size(gi) * SIZE_STEP).min(TECH.max_drive);
+                    let after = graph.trial(gi, size, |t| objective(goal, t));
+                    prop_assert!(
+                        after >= current,
+                        "{} {goal:?}: unmarked gate {gi} lowers {current} ({:x}) to {after} ({:x})",
+                        nl.name,
+                        current.to_bits(),
+                        after.to_bits()
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -210,17 +279,28 @@ fn sizer_matches_reference() {
                 baseline.output_delay(&port).unwrap_or(1.0) * 0.8,
             );
             rdelay.per_output.insert("NO_SUCH_PORT".into(), 0.0);
+            let comb_delay = SizingGoal {
+                worst_delay: Some(baseline.worst_output_delay() * 0.8),
+                ..SizingGoal::default()
+            };
             for strategy in [
                 Strategy::Fastest,
                 Strategy::Cheapest,
                 Strategy::Constraints(SizingGoal::clock(baseline.clock_width * 0.8)),
                 Strategy::Constraints(rdelay),
+                Strategy::Constraints(comb_delay),
             ] {
                 let (mut ours, mut theirs) = (base.clone(), base.clone());
                 let a = size_netlist(&mut ours, lib, &loads, &strategy);
                 let b = reference::size_netlist(&mut theirs, lib, &loads, &strategy);
                 let label = format!("{} size={width} {strategy:?}", imp.name);
                 assert_eq!(a.iterations, b.iterations, "{label}");
+                assert!(
+                    a.trials <= b.trials,
+                    "{label}: {} trials, the reference {}",
+                    a.trials,
+                    b.trials
+                );
                 assert_eq!(a.met, b.met, "{label}");
                 assert_eq!(a.area_width.to_bits(), b.area_width.to_bits(), "{label}");
                 assert_eq!(bits(&a.report), bits(&b.report), "{label}");
@@ -233,7 +313,7 @@ fn sizer_matches_reference() {
         }
     }
     assert!(
-        runs >= 4 * 18 * MAX_WIDTH as usize,
+        runs >= 5 * 18 * MAX_WIDTH as usize,
         "too few builtin widths sized: {runs} runs"
     );
 }

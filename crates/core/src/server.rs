@@ -38,6 +38,7 @@ use crate::Icdb;
 use icdb_estimate::{estimate_shape, LoadSpec};
 use icdb_layout::{place, to_ascii, to_cif, PortSpec};
 use icdb_logic::{synthesize, Gate, GateNetlist, SynthOptions};
+use icdb_obs::metrics as obs;
 use icdb_sizing::{size_netlist, SizingGoal, Strategy};
 use icdb_store::Value;
 use icdb_vhdl::{emit_entity, emit_netlist, parse_netlist, vhdl_id};
@@ -474,7 +475,8 @@ impl Icdb {
         Ok(net)
     }
 
-    /// The pipeline tail: transistor sizing of a copy of `net`'s netlist,
+    /// The pipeline tail: transistor sizing of a copy of `net`'s netlist
+    /// (its moves and trials added to the sizing counters),
     /// the set-up bound check, shape and power estimation, and the delay
     /// and shape views. The other views come pre-rendered with `net`:
     /// sizing changes only gate sizes, which the VHDL views do not print,
@@ -490,6 +492,8 @@ impl Icdb {
     ) -> Result<GenerationPayload, IcdbError> {
         let mut netlist = net.netlist.clone();
         let sizing = size_netlist(&mut netlist, &self.cells, &loads, strategy);
+        obs::SIZING_MOVES.add(sizing.iterations as u64);
+        obs::SIZING_TRIALS.add(sizing.trials as u64);
         let mut met = sizing.met;
         if let Some(bound) = set_up_time {
             let worst_setup = sizing

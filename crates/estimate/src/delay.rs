@@ -148,6 +148,25 @@ struct Arrivals {
     seq: Vec<f64>,
 }
 
+/// One maximum over timing endpoints that a sizing objective reads; see
+/// [`TimingGraph::critical_gates`].
+#[derive(Debug, Clone, Copy)]
+pub enum Term<'p> {
+    /// `CW` ([`TimingGraph::clock_width`]): its endpoints are the
+    /// sequential data and asynchronous pins whose register-to-register
+    /// arrival plus setup reaches it. A `CW` set by a minimum pulse width
+    /// has none, since no drive changes a pulse width.
+    ClockWidth,
+    /// The worst `WD` ([`TimingGraph::worst_output_delay`]): the outputs
+    /// that arrive at it.
+    WorstOutput,
+    /// The worst arrival anywhere ([`TimingGraph::critical_path`]): the
+    /// nets that arrive at it.
+    CriticalPath,
+    /// The `WD` of one output port ([`TimingGraph::output_delay`]).
+    Output(&'p str),
+}
+
 /// The static timing graph of one netlist under one [`LoadSpec`]: the one
 /// definition of STA behind both [`estimate_delay`] and transistor sizing.
 ///
@@ -165,6 +184,10 @@ struct Arrivals {
 /// Every float is computed with the same operations in the same order as a
 /// fresh analysis of the netlist at the graph's sizes, so results are bit
 /// identical however many resizes came before.
+///
+/// [`TimingGraph::critical_gates`] walks the last timing back from the
+/// endpoints of an objective, naming the only gates whose resize can lower
+/// it.
 pub struct TimingGraph<'a> {
     nl: &'a GateNetlist,
     lib: &'a Library,
@@ -314,6 +337,109 @@ impl<'a> TimingGraph<'a> {
             .fold(0.0, f64::max)
     }
 
+    /// Marks, per gate, whether a larger drive on it can lower the maximum
+    /// of `terms`: the gates on a tight path (each arrival equal, as a
+    /// float, to its input's arrival plus the gate's delay) back from an
+    /// endpoint of a term that attains its value, and the seeds those
+    /// paths start from. Pass only the terms at the objective's maximum.
+    ///
+    /// A path ends at a primary input, or at a sequential gate. In the
+    /// register-to-register arrivals that `CW` reads, a sequential gate's
+    /// seed is its own delay. In the arrivals that `WD` and the critical
+    /// path read, its seed is the clock-chain fixpoint of the last timing,
+    /// which stops within a tolerance, so no tight edge can be trusted
+    /// there: the whole transitive fanin cone of its clock pin is marked.
+    ///
+    /// A resize lowers only the resized gate's own delay and raises the
+    /// delays of the gates driving its inputs. An unmarked gate is on no
+    /// path that attains the maximum, nor in any seed of one, so trying it
+    /// yields an objective no lower than the current one. (The clock-chain
+    /// fixpoint skips seed changes of at most 1e-9, so that holds unless
+    /// two clock paths arrive within 1e-9 of each other without being
+    /// equal.)
+    pub fn critical_gates(&self, terms: &[Term<'_>]) -> Vec<bool> {
+        /// The arrivals a net is walked back in.
+        #[derive(Clone, Copy)]
+        enum Walk {
+            /// Tight edges of `timed.seq`.
+            Seq,
+            /// Tight edges of `timed.all`.
+            All,
+            /// Every fanin, up to the primary inputs, through clock pins.
+            Cone,
+        }
+        let nl = self.nl;
+        let mut stack = Vec::new();
+        for term in terms {
+            match *term {
+                Term::ClockWidth => {
+                    let cw = self.clock_width();
+                    stack.extend(self.setup_pins().filter_map(|(n, setup)| {
+                        (arrival(self.timed.seq[n]).map(|a| a + setup) == Some(cw))
+                            .then_some((Walk::Seq, n))
+                    }));
+                }
+                Term::WorstOutput => {
+                    let wd = self.worst_output_delay();
+                    stack.extend(nl.outputs.iter().filter_map(|o| {
+                        (self.timed.all[o.index()] == wd).then_some((Walk::All, o.index()))
+                    }));
+                }
+                Term::CriticalPath => {
+                    let cp = self.critical_path();
+                    stack.extend(
+                        (0..self.timed.all.len())
+                            .filter(|&n| self.timed.all[n] == cp)
+                            .map(|n| (Walk::All, n)),
+                    );
+                }
+                Term::Output(port) => stack.extend(
+                    nl.outputs
+                        .iter()
+                        .filter(|&&o| nl.net_name(o) == port)
+                        .map(|o| (Walk::All, o.index())),
+                ),
+            }
+        }
+
+        let mut marked = vec![false; nl.gates.len()];
+        // Per net, a bit per `Walk` already taken back from it.
+        let mut walked = vec![0u8; self.driver.len()];
+        while let Some((walk, net)) = stack.pop() {
+            let bit = 1 << walk as u8;
+            if walked[net] & bit != 0 {
+                continue;
+            }
+            walked[net] |= bit;
+            let Some(gi) = self.driver[net] else {
+                continue; // a primary input
+            };
+            marked[gi] = true;
+            let g = &nl.gates[gi];
+            match (walk, self.lib.cell(g.cell).function.is_sequential()) {
+                (Walk::Seq, true) => {}
+                (Walk::All | Walk::Cone, true) => stack.push((Walk::Cone, g.inputs[1].index())),
+                (Walk::Cone, false) => {
+                    stack.extend(g.inputs.iter().map(|n| (Walk::Cone, n.index())));
+                }
+                (Walk::Seq | Walk::All, false) => {
+                    let arr = match walk {
+                        Walk::Seq => &self.timed.seq,
+                        _ => &self.timed.all,
+                    };
+                    let (t, delay) = (arr[net], self.delays[gi]);
+                    stack.extend(
+                        g.inputs
+                            .iter()
+                            .filter(|n| arr[n.index()] + delay == t)
+                            .map(|n| (walk, n.index())),
+                    );
+                }
+            }
+        }
+        marked
+    }
+
     /// The full §3.3 report at the current sizes.
     pub fn report(&self) -> DelayReport {
         let nl = self.nl;
@@ -455,22 +581,26 @@ impl<'a> TimingGraph<'a> {
         }
     }
 
-    /// Worst arrival in `arr` at any sequential data or asynchronous pin
-    /// (every pin but the clock, pin 1) plus that cell's setup.
-    fn worst_setup(&self, arr: &[f64]) -> Option<f64> {
-        let mut worst: Option<f64> = None;
-        for &gi in &self.seq {
+    /// Every sequential data or asynchronous pin (every pin but the clock,
+    /// pin 1) as its net, with that cell's setup.
+    fn setup_pins(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.seq.iter().flat_map(move |&gi| {
             let setup = self.seq_timing(gi).setup;
-            for (pi, n) in self.nl.gates[gi].inputs.iter().enumerate() {
-                if pi == 1 {
-                    continue;
-                }
-                if let Some(a) = arrival(arr[n.index()]) {
-                    worst = Some(worst.map_or(a + setup, |w: f64| w.max(a + setup)));
-                }
-            }
-        }
-        worst
+            self.nl.gates[gi]
+                .inputs
+                .iter()
+                .enumerate()
+                .filter(|&(pi, _)| pi != 1)
+                .map(move |(_, n)| (n.index(), setup))
+        })
+    }
+
+    /// Worst arrival in `arr` at any sequential data or asynchronous pin
+    /// plus that cell's setup.
+    fn worst_setup(&self, arr: &[f64]) -> Option<f64> {
+        self.setup_pins()
+            .filter_map(|(n, setup)| arrival(arr[n]).map(|a| a + setup))
+            .reduce(f64::max)
     }
 
     fn seq_timing(&self, gi: usize) -> icdb_cells::SeqTiming {

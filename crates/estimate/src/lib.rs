@@ -38,5 +38,5 @@ mod delay;
 mod power;
 
 pub use area::{estimate_area, estimate_shape, track_utilization, ShapeAlternative, ShapeFunction};
-pub use delay::{estimate_delay, DelayReport, EstimateError, LoadSpec, TimingGraph};
+pub use delay::{estimate_delay, DelayReport, EstimateError, LoadSpec, Term, TimingGraph};
 pub use power::{estimate_power, PowerReport, PowerSpec};

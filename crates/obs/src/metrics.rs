@@ -299,6 +299,11 @@ pub static WAL_FLUSHED_BYTES: Counter = Counter::new();
 /// 1 while the write path is latched into read-only degraded mode.
 pub static WAL_DEGRADED: Gauge = Gauge::new();
 
+/// Sizing moves applied, summed over every sized point.
+pub static SIZING_MOVES: Counter = Counter::new();
+/// Sizing trial moves timed, summed over every sized point.
+pub static SIZING_TRIALS: Counter = Counter::new();
+
 /// Follower: last replicated sequence applied locally.
 pub static REPL_APPLIED_SEQ: Gauge = Gauge::new();
 /// Follower: events the primary is known to be ahead by.
@@ -608,6 +613,18 @@ pub fn gather() -> Vec<Sample> {
         "gauge",
         "1 while the write path is latched read-only by a WAL fault",
         WAL_DEGRADED.get(),
+    ));
+    out.push(Sample::int(
+        "icdb_sizing_moves_total",
+        "counter",
+        "Transistor-sizing moves applied, over every sized point",
+        SIZING_MOVES.get(),
+    ));
+    out.push(Sample::int(
+        "icdb_sizing_trials_total",
+        "counter",
+        "Transistor-sizing trial moves timed, over every sized point",
+        SIZING_TRIALS.get(),
     ));
     out.push(Sample::int(
         "icdb_repl_applied_seq",

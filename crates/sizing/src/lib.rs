@@ -5,7 +5,8 @@
 //! TILOS-style posynomial sizing. This reproduction implements the same
 //! greedy sensitivity heuristic TILOS popularized: repeatedly bump the
 //! drive of the gate whose enlargement buys the most delay per unit of
-//! added area, until the constraints are met or no move helps.
+//! added area, until the constraints are met or no move helps. As in
+//! TILOS, only gates on a critical path are tried ([`candidates`]).
 //!
 //! Constraints mirror the paper's CQL inputs (§3.2.2): minimum clock width
 //! (`clock_width:30`), worst combinational delay (`comb_delay`), per-output
@@ -30,7 +31,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 use icdb_cells::{Library, TECH};
-use icdb_estimate::{estimate_delay, DelayReport, LoadSpec, TimingGraph};
+use icdb_estimate::{estimate_delay, DelayReport, LoadSpec, Term, TimingGraph};
 use icdb_logic::GateNetlist;
 use std::collections::HashMap;
 
@@ -63,23 +64,7 @@ impl SizingGoal {
     /// Worst violation of this goal under `timing` (≤ 0 means met). Ports
     /// the design lacks constrain nothing.
     pub fn violation(&self, timing: &TimingGraph) -> f64 {
-        let mut v = f64::NEG_INFINITY;
-        if let Some(cw) = self.clock_width {
-            v = v.max(timing.clock_width() - cw);
-        }
-        if let Some(d) = self.worst_delay {
-            v = v.max(timing.worst_output_delay() - d);
-        }
-        for (port, bound) in &self.per_output {
-            if let Some(d) = timing.output_delay(port) {
-                v = v.max(d - bound);
-            }
-        }
-        if v == f64::NEG_INFINITY {
-            0.0
-        } else {
-            v
-        }
+        objective(Some(self), timing)
     }
 }
 
@@ -99,6 +84,8 @@ pub enum Strategy {
 pub struct SizingResult {
     /// Moves applied.
     pub iterations: usize,
+    /// Trial moves timed to choose them.
+    pub trials: usize,
     /// Whether the constraints were met (always true for
     /// fastest/cheapest).
     pub met: bool,
@@ -108,31 +95,82 @@ pub struct SizingResult {
     pub area_width: f64,
 }
 
-/// The value a sizing move must lower: the violation of `goal`, or for
-/// `fastest` (no goal) the clock width or, in a combinational design, the
-/// worst path.
-fn objective(goal: Option<&SizingGoal>, timing: &TimingGraph) -> f64 {
+/// Calls `f` with each term whose maximum is the value a sizing move must
+/// lower, and that term's value. For a goal, each constraint's excess over
+/// its bound, where ports the design lacks constrain nothing. For
+/// `fastest` (no goal), the clock width and the worst `WD` or, in a
+/// combinational design, the worst `WD` and the critical path.
+fn terms<'g>(goal: Option<&'g SizingGoal>, timing: &TimingGraph, mut f: impl FnMut(Term<'g>, f64)) {
     match goal {
-        Some(goal) => goal.violation(timing),
+        Some(goal) => {
+            if let Some(cw) = goal.clock_width {
+                f(Term::ClockWidth, timing.clock_width() - cw);
+            }
+            if let Some(d) = goal.worst_delay {
+                f(Term::WorstOutput, timing.worst_output_delay() - d);
+            }
+            for (port, bound) in &goal.per_output {
+                if let Some(d) = timing.output_delay(port) {
+                    f(Term::Output(port), d - bound);
+                }
+            }
+        }
         None => {
             let clock_width = timing.clock_width();
             if clock_width > 0.0 {
-                clock_width.max(timing.worst_output_delay())
+                f(Term::ClockWidth, clock_width);
+                f(Term::WorstOutput, timing.worst_output_delay());
             } else {
-                timing.worst_output_delay().max(timing.critical_path())
+                f(Term::WorstOutput, timing.worst_output_delay());
+                f(Term::CriticalPath, timing.critical_path());
             }
         }
     }
 }
 
+/// The value a sizing move must lower under `goal`, or under `fastest`
+/// when `goal` is `None`: the goal's worst violation (0 when no constraint
+/// applies), or the clock width or, in a combinational design, the worst
+/// path.
+pub fn objective(goal: Option<&SizingGoal>, timing: &TimingGraph) -> f64 {
+    let mut worst = f64::NEG_INFINITY;
+    terms(goal, timing, |_, v| worst = worst.max(v));
+    if worst == f64::NEG_INFINITY {
+        0.0
+    } else {
+        worst
+    }
+}
+
+/// Marks, per gate, whether a drive bump on it can lower the [`objective`]
+/// under `goal` from its value `current`: the
+/// [`critical_gates`](TimingGraph::critical_gates) of the terms that attain
+/// it. A bump of an unmarked gate leaves the objective at `current` or
+/// above, exactly.
+pub fn candidates(goal: Option<&SizingGoal>, timing: &TimingGraph, current: f64) -> Vec<bool> {
+    let mut at_max = Vec::new();
+    terms(goal, timing, |term, v| {
+        if v == current {
+            at_max.push(term);
+        }
+    });
+    timing.critical_gates(&at_max)
+}
+
 /// Sizes `nl` in place according to `strategy`.
 ///
-/// Greedy TILOS loop: at each step evaluate, for every gate, the delay
-/// improvement per unit of added width from one drive bump, apply the best
-/// move (the first gate with the strictly largest ratio), and stop when
-/// constraints are met / nothing improves. One [`TimingGraph`] serves the
-/// whole run, so a trial re-times one gate and its fanin drivers instead of
-/// the whole netlist.
+/// Greedy TILOS loop: at each step evaluate, for every gate that can lower
+/// the objective, the delay improvement per unit of added width from one
+/// drive bump, apply the best move (the first gate with the strictly
+/// largest ratio), and stop when constraints are met / nothing improves.
+/// One [`TimingGraph`] serves the whole run, so a trial re-times one gate
+/// and its fanin drivers instead of the whole netlist.
+///
+/// Before each move, [`candidates`] marks the gates on a path to an
+/// endpoint of a term at the objective's value; only those are tried. A
+/// bump of any other gate leaves the objective no lower, bit for bit, so it
+/// could never be chosen: the moves, sizes and report are those of trying
+/// every gate, at a fraction of the trials.
 pub fn size_netlist(
     nl: &mut GateNetlist,
     lib: &Library,
@@ -144,6 +182,7 @@ pub fn size_netlist(
             let report = estimate_delay(nl, lib, loads).expect("sized netlists are acyclic");
             return SizingResult {
                 iterations: 0,
+                trials: 0,
                 met: true,
                 report,
                 area_width: nl.total_width(lib),
@@ -154,23 +193,25 @@ pub fn size_netlist(
     };
 
     let mut graph = TimingGraph::new(nl, lib, loads).expect("sized netlists are acyclic");
-    let mut iterations = 0;
+    let (mut iterations, mut trials) = (0, 0);
     loop {
         let current = objective(goal, &graph);
         if goal.is_some() && current <= 0.0 || iterations >= MAX_MOVES {
             break;
         }
+        let critical = candidates(goal, &graph, current);
 
-        // Evaluate one bump per gate; keep the best delay/area trade.
+        // Evaluate one bump per critical gate; keep the best delay/area trade.
         let mut best: Option<(usize, f64, f64)> = None; // (gate, new size, gain ratio)
         for (gi, gate) in nl.gates.iter().enumerate() {
             let old_size = graph.size(gi);
-            if old_size >= TECH.max_drive {
+            if !critical[gi] || old_size >= TECH.max_drive {
                 continue;
             }
             let new_size = (old_size * SIZE_STEP).min(TECH.max_drive);
             let cell = lib.cell(gate.cell);
             let area_delta = cell.width(new_size) - cell.width(old_size);
+            trials += 1;
             let gain = current - graph.trial(gi, new_size, |t| objective(goal, t));
             if gain > 1e-9 {
                 let ratio = gain / area_delta.max(1e-9);
@@ -194,6 +235,7 @@ pub fn size_netlist(
     }
     SizingResult {
         iterations,
+        trials,
         met,
         report,
         area_width: nl.total_width(lib),
@@ -250,6 +292,15 @@ VARIABLE: i;
             r.report.clock_width
         );
         assert!(r.iterations > 0);
+    }
+
+    /// Pins the work of one `fastest` run: a change to the candidate walk
+    /// or to the loop shows up here as a count, before any timing.
+    #[test]
+    fn fastest_counter_work_is_pinned() {
+        let (mut nl, lib) = counter(5);
+        let r = size_netlist(&mut nl, &lib, &LoadSpec::uniform(10.0), &Strategy::Fastest);
+        assert_eq!((r.iterations, r.trials), (59, 414));
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!   histograms (with derived p50/p95/p99) on both surfaces;
 //! - cache hit/miss/eviction mirrors equal to `cache_query`;
 //! - WAL gauges equal to `persist`;
+//! - sizing work counters that move by exactly the moves and trials of
+//!   each freshly sized point, and not on a result-layer hit;
 //! - a follower whose `lag_events` gauge reaches 0 after catch-up, with
 //!   `icdb_role{role="follower"}` on the scrape;
 //! - degraded mode (failpoints build): the latched fault flips
@@ -90,6 +92,19 @@ fn connect(port: u16) -> IcdbClient {
             Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
             Err(e) => panic!("cannot connect to icdbd: {e}"),
         }
+    }
+}
+
+/// Waits until the metrics listener on `port` accepts connections; it may
+/// come up a beat after the CQL one.
+fn await_listener(port: u16) {
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while TcpStream::connect(("127.0.0.1", port)).is_err() {
+        assert!(
+            Instant::now() < deadline,
+            "metrics listener did not come up"
+        );
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -178,18 +193,7 @@ fn metrics_probe_connections_are_dropped_not_leaked() {
     let mport = free_port();
     let maddr = format!("127.0.0.1:{mport}");
     let daemon = spawn_icdbd(port, &dir, &["--metrics-addr", &maddr]);
-    // The metrics listener may come up a beat after the CQL one.
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        if TcpStream::connect(("127.0.0.1", mport)).is_ok() {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "metrics listener did not come up"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    await_listener(mport);
 
     // k8s-style probes: connect, then close without sending a byte.
     for _ in 0..8 {
@@ -364,6 +368,87 @@ fn metrics_cql_and_http_agree_with_cache_and_persist() {
     assert_eq!(typed[0], persist[0]);
     assert_eq!(typed[1], cache[0]);
     assert!(typed[2] >= 1, "this very connection is gauged");
+}
+
+// ---------------------------------------------------- sizing work
+
+/// The moves and trials `size_netlist` spends on `fastest` `COUNTER` at
+/// `size`, under the default output load a request implies.
+fn fastest_counter_work(size: i64) -> (i64, i64) {
+    use icdb::estimate::LoadSpec;
+    use icdb::sizing::{size_netlist, Strategy};
+    let icdb = icdb::Icdb::new();
+    let imp = icdb.library.implementation("COUNTER").expect("builtin");
+    let params = imp
+        .bind_attributes(&[("size".to_string(), size.to_string())])
+        .expect("size binds");
+    let pairs: Vec<(&str, i64)> = params.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    let flat = icdb::iif::expand(&imp.module, &pairs, &icdb.library).expect("expands");
+    let mut nl =
+        icdb::logic::synthesize(&flat, &icdb.cells, &Default::default()).expect("synthesizes");
+    let r = size_netlist(
+        &mut nl,
+        &icdb.cells,
+        &LoadSpec::uniform(10.0),
+        &Strategy::Fastest,
+    );
+    (r.iterations as i64, r.trials as i64)
+}
+
+/// A fresh `fastest` request moves `icdb_sizing_moves_total` and
+/// `icdb_sizing_trials_total` by exactly the moves and trials
+/// `size_netlist` reports for its key; the repeated request, a result-layer
+/// hit, moves neither; the scrape and the `metrics` command agree.
+#[test]
+fn sizing_counters_move_by_each_freshly_sized_point() {
+    let dir = temp_dir("sizing");
+    let port = free_port();
+    let mport = free_port();
+    let maddr = format!("127.0.0.1:{mport}");
+    let _daemon = spawn_icdbd(port, &dir, &["--metrics-addr", &maddr]);
+    await_listener(mport);
+    let mut client = connect(port);
+    let mut counters = || {
+        let typed = query_ints(
+            &mut client,
+            "command:metrics; icdb_sizing_moves_total:?d; icdb_sizing_trials_total:?d",
+            2,
+        );
+        let body = scrape(mport);
+        assert_eq!(
+            typed,
+            vec![
+                sample(&body, "icdb_sizing_moves_total") as i64,
+                sample(&body, "icdb_sizing_trials_total") as i64,
+            ],
+            "the metrics command and the scrape agree"
+        );
+        (typed[0], typed[1])
+    };
+    let (moves, trials) = fastest_counter_work(5);
+    assert!(
+        moves > 0 && trials >= moves,
+        "{moves} moves, {trials} trials"
+    );
+
+    let mut readings = vec![counters()];
+    for _ in 0..2 {
+        let mut args = [CqlArg::OutStr(None)];
+        connect(port)
+            .execute(
+                "command:request_component; implementation:COUNTER; attribute:(size:5); \
+                 strategy:fastest; generated_component:?s",
+                &mut args,
+            )
+            .expect("fastest request");
+        readings.push(counters());
+    }
+    assert_eq!(
+        readings[1],
+        (readings[0].0 + moves, readings[0].1 + trials),
+        "a fresh point adds its own moves and trials"
+    );
+    assert_eq!(readings[2], readings[1], "a result-layer hit sizes nothing");
 }
 
 // ---------------------------------------------------- follower lag
